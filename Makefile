@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint fmt vet drange-vet staticcheck govulncheck
+.PHONY: all build test race bench lint fmt vet drange-vet staticcheck govulncheck
 
 all: build
 
@@ -15,6 +15,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# bench runs every workload of the end-to-end benchmark (bench/README.md)
+# and prints its metrics; it exits non-zero when a correctness check fails.
+bench:
+	bash bench/run.sh --workload all
 
 # lint = gofmt + go vet + drange-vet + staticcheck + govulncheck, in the same
 # order as .github/workflows/ci.yml. staticcheck and govulncheck are skipped

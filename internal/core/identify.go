@@ -126,29 +126,50 @@ func IdentifyRNGCells(ctrl *memctrl.Controller, region profiler.Region, cfg Iden
 	if len(candidates) == 0 {
 		return nil, nil
 	}
-
-	// Group candidates by (row, word) so the deep pass only touches words
-	// that contain candidates.
-	g := ctrl.Device().Geometry()
-	type rw struct{ row, word int }
-	byWord := make(map[rw][]profiler.CellAddr)
-	for _, c := range candidates {
-		key := rw{c.Row, c.Col / g.WordBits}
-		byWord[key] = append(byWord[key], c)
-	}
-	keys := make([]rw, 0, len(byWord))
-	for k := range byWord {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].row != keys[j].row {
-			return keys[i].row < keys[j].row
+	// The region is one bank, so ordering by (row, col) groups the
+	// candidates by DRAM word, in a fixed order, and yields the output
+	// sorted.
+	sort.Slice(candidates, func(i, j int) bool {
+		a, b := candidates[i], candidates[j]
+		if a.Row != b.Row {
+			return a.Row < b.Row
 		}
-		return keys[i].word < keys[j].word
+		return a.Col < b.Col
 	})
 
+	// Group candidates by (row, word) so the deep pass only touches words
+	// that contain candidates; each word's expected data is built once.
+	g := ctrl.Device().Geometry()
+	wordU64s := g.WordBits / 64
+	type candidateWord struct {
+		row, word int
+		expected  []uint64
+		// cells are candidates[first:first+n].
+		first, n int
+	}
+	var words []candidateWord
+	for i, c := range candidates {
+		word := c.Col / g.WordBits
+		if n := len(words); n > 0 && words[n-1].row == c.Row && words[n-1].word == word {
+			words[n-1].n++
+			continue
+		}
+		rowData, err := cfg.Pattern.FillRow(c.Row, g.ColsPerRow)
+		if err != nil {
+			return nil, err
+		}
+		words = append(words, candidateWord{
+			row:      c.Row,
+			word:     word,
+			expected: rowData[word*wordU64s : (word+1)*wordU64s],
+			first:    i,
+			n:        1,
+		})
+	}
+
 	// Phase 2: deep profiling. Record every candidate cell's read-value
-	// stream over cfg.Samples reduced-latency reads.
+	// stream over cfg.Samples reduced-latency reads; candidates[i]'s stream
+	// is streams[i*cfg.Samples : (i+1)*cfg.Samples].
 	if err := profiler.WritePattern(ctrl, region, cfg.Pattern); err != nil {
 		return nil, err
 	}
@@ -157,41 +178,29 @@ func IdentifyRNGCells(ctrl *memctrl.Controller, region profiler.Region, cfg Iden
 	}
 	defer ctrl.ResetTRCD()
 
-	streams := make(map[profiler.CellAddr][]byte, len(candidates))
-	for _, cells := range byWord {
-		for _, c := range cells {
-			streams[c] = make([]byte, 0, cfg.Samples)
-		}
-	}
-	wordU64s := g.WordBits / 64
+	streams := make([]byte, len(candidates)*cfg.Samples)
+	got := make([]uint64, wordU64s)
 	for s := 0; s < cfg.Samples; s++ {
-		for _, k := range keys {
-			expected, err := cfg.Pattern.FillRow(k.row, g.ColsPerRow)
-			if err != nil {
-				return nil, err
-			}
-			expWord := expected[k.word*wordU64s : (k.word+1)*wordU64s]
+		for _, k := range words {
 			if err := ctrl.RefreshRow(region.Bank, k.row); err != nil {
 				return nil, err
 			}
-			got, _, err := ctrl.ReadWord(region.Bank, k.row, k.word)
-			if err != nil {
+			if _, err := ctrl.ReadWordInto(region.Bank, k.row, k.word, got); err != nil {
 				return nil, err
 			}
 			dirty := false
 			for u := 0; u < wordU64s; u++ {
-				if got[u] != expWord[u] {
+				if got[u] != k.expected[u] {
 					dirty = true
 					break
 				}
 			}
-			for _, c := range byWord[k] {
-				bitIdx := c.Col - k.word*g.WordBits
-				v := byte((got[bitIdx/64] >> uint(bitIdx%64)) & 1)
-				streams[c] = append(streams[c], v)
+			for i := k.first; i < k.first+k.n; i++ {
+				bitIdx := candidates[i].Col - k.word*g.WordBits
+				streams[i*cfg.Samples+s] = byte((got[bitIdx/64] >> uint(bitIdx%64)) & 1)
 			}
 			if dirty {
-				if _, err := ctrl.WriteWord(region.Bank, k.row, k.word, expWord); err != nil {
+				if _, err := ctrl.WriteWord(region.Bank, k.row, k.word, k.expected); err != nil {
 					return nil, err
 				}
 			}
@@ -203,7 +212,8 @@ func IdentifyRNGCells(ctrl *memctrl.Controller, region profiler.Region, cfg Iden
 
 	// Apply the Section 6.1 criterion.
 	var out []RNGCell
-	for c, stream := range streams {
+	for i, c := range candidates {
+		stream := streams[i*cfg.Samples : (i+1)*cfg.Samples]
 		uniform, err := entropy.SymbolsUniform(stream, cfg.SymbolBits, cfg.Tolerance)
 		if err != nil {
 			return nil, err
@@ -233,15 +243,5 @@ func IdentifyRNGCells(ctrl *memctrl.Controller, region profiler.Region, cfg Iden
 			SymbolEntropy: symEnt,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Addr, out[j].Addr
-		if a.Bank != b.Bank {
-			return a.Bank < b.Bank
-		}
-		if a.Row != b.Row {
-			return a.Row < b.Row
-		}
-		return a.Col < b.Col
-	})
 	return out, nil
 }

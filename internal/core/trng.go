@@ -289,7 +289,9 @@ func SampleCell(ctrl *memctrl.Controller, cell RNGCell, pat pattern.Pattern, trc
 	wordIdx := addr.Col / g.WordBits
 	nw := g.WordBits / 64
 
-	// Maintain the data pattern in the cell's row and neighbours.
+	// Maintain the data pattern in the cell's row and neighbours, keeping
+	// the cell's word to restore after each read (WriteRow copies).
+	var original []uint64
 	for _, row := range []int{addr.Row - 1, addr.Row, addr.Row + 1} {
 		if row < 0 || row >= g.RowsPerBank {
 			continue
@@ -301,12 +303,10 @@ func SampleCell(ctrl *memctrl.Controller, cell RNGCell, pat pattern.Pattern, trc
 		if err := ctrl.Device().WriteRow(addr.Bank, row, data); err != nil {
 			return nil, err
 		}
+		if row == addr.Row {
+			original = data[wordIdx*nw : (wordIdx+1)*nw]
+		}
 	}
-	rowData, err := pat.FillRow(addr.Row, g.ColsPerRow)
-	if err != nil {
-		return nil, err
-	}
-	original := append([]uint64(nil), rowData[wordIdx*nw:(wordIdx+1)*nw]...)
 
 	if err := ctrl.SetReducedTRCD(trcdNS); err != nil {
 		return nil, err

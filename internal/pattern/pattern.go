@@ -99,12 +99,42 @@ func (p Pattern) FillRow(row, cols int) ([]uint64, error) {
 		return nil, fmt.Errorf("pattern: cols must be a positive multiple of 64, got %d", cols)
 	}
 	out := make([]uint64, cols/64)
-	for col := 0; col < cols; col++ {
-		if p.Bit(row, col) != 0 {
-			out[col>>6] |= 1 << uint(col&63)
-		}
+	m := p.wordMask(row)
+	for i := range out {
+		out[i] = m
 	}
 	return out, nil
+}
+
+// wordMask returns the 64 cells the pattern stores in any word-aligned
+// group of 64 columns of the given row: every Kind's column period divides
+// 64, so all words of a row are equal. It agrees with Bit bit for bit.
+func (p Pattern) wordMask(row int) uint64 {
+	var base uint64
+	switch p.Kind {
+	case KindSolid:
+		base = ^uint64(0)
+	case KindCheckered:
+		// Even rows store 1 at even columns, odd rows at odd columns.
+		base = 0x5555555555555555 << uint(row&1)
+	case KindRowStripe:
+		if row&1 != 0 {
+			base = ^uint64(0)
+		}
+	case KindColStripe:
+		base = 0xAAAAAAAAAAAAAAAA
+	case KindWalking:
+		// A negative Index never matches a column, as in Bit.
+		if k := p.Index % walkPeriod; k >= 0 {
+			base = 0x0001000100010001 << uint(k)
+		}
+	default:
+		base = ^uint64(0)
+	}
+	if p.Inverted {
+		return ^base
+	}
+	return base
 }
 
 // Inverse returns the bitwise inverse of the pattern.

@@ -114,17 +114,32 @@ func TestWalkingPatternsHaveExactlyOneOnePerPeriod(t *testing.T) {
 	}
 }
 
+// TestFillRowMatchesBit is the oracle for the word-at-a-time FillRow: every
+// bit it writes must equal Bit, on both row parities of every pattern, at
+// several widths, and for out-of-range walking indices and unknown kinds.
 func TestFillRowMatchesBit(t *testing.T) {
-	for _, p := range All() {
-		row := 3
-		data, err := p.FillRow(row, 256)
-		if err != nil {
-			t.Fatalf("%v: %v", p, err)
-		}
-		for col := 0; col < 256; col++ {
-			got := (data[col>>6] >> uint(col&63)) & 1
-			if got != p.Bit(row, col) {
-				t.Fatalf("%v: FillRow bit %d = %d, Bit = %d", p, col, got, p.Bit(row, col))
+	pats := All()
+	for _, idx := range []int{-1, 16, 17} {
+		pats = append(pats, Walking1(idx), Walking0(idx))
+	}
+	pats = append(pats, Pattern{Kind: Kind(99)}, Pattern{Kind: Kind(99), Inverted: true})
+	for _, p := range pats {
+		for _, row := range []int{0, 1, 2, 3, 4097} {
+			for _, cols := range []int{64, 256, 4096} {
+				data, err := p.FillRow(row, cols)
+				if err != nil {
+					t.Fatalf("%v: %v", p, err)
+				}
+				if len(data) != cols/64 {
+					t.Fatalf("%v: FillRow(%d, %d) returned %d words", p, row, cols, len(data))
+				}
+				for col := 0; col < cols; col++ {
+					got := (data[col>>6] >> uint(col&63)) & 1
+					if want := p.Bit(row, col); got != want {
+						t.Fatalf("%v (Index %d): row %d width %d: FillRow bit %d = %d, Bit = %d",
+							p, p.Index, row, cols, col, got, want)
+					}
+				}
 			}
 		}
 	}

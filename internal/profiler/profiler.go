@@ -8,6 +8,7 @@ package profiler
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/memctrl"
 	"repro/internal/pattern"
@@ -185,19 +186,21 @@ func Run(ctrl *memctrl.Controller, region Region, cfg Config) (*FailureProfile, 
 
 	g := ctrl.Device().Geometry()
 	wordU64s := g.WordBits / 64
-	profile := &FailureProfile{
-		Region:     region,
-		Pattern:    cfg.Pattern,
-		TRCDNS:     cfg.TRCDNS,
-		Iterations: cfg.Iterations,
-		Counts:     make(map[CellAddr]int),
-	}
 
-	// Precompute the expected word content per row (pattern only depends on
-	// row parity and column, but FillRow is cheap enough to reuse per row).
-	expectedRow := func(row int) ([]uint64, error) {
-		return cfg.Pattern.FillRow(row, g.ColsPerRow)
+	// The expected data of a row never changes during the run, so build
+	// each region row once.
+	expected := make([][]uint64, region.RowCount)
+	for i := range expected {
+		row, err := cfg.Pattern.FillRow(region.RowStart+i, g.ColsPerRow)
+		if err != nil {
+			return nil, err
+		}
+		expected[i] = row
 	}
+	// counts holds the failures of region cell (row i, word j, bit b) at
+	// (i*WordCount+j)*WordBits+b.
+	counts := make([]int32, region.Cells(g.WordBits))
+	got := make([]uint64, wordU64s)
 
 	if err := ctrl.SetReducedTRCD(cfg.TRCDNS); err != nil {
 		return nil, err
@@ -205,13 +208,11 @@ func Run(ctrl *memctrl.Controller, region Region, cfg Config) (*FailureProfile, 
 	defer ctrl.ResetTRCD()
 
 	for it := 0; it < cfg.Iterations; it++ {
-		for w := region.WordStart; w < region.WordStart+region.WordCount; w++ {
-			for row := region.RowStart; row < region.RowStart+region.RowCount; row++ {
-				expected, err := expectedRow(row)
-				if err != nil {
-					return nil, err
-				}
-				expWord := expected[w*wordU64s : (w+1)*wordU64s]
+		for j := 0; j < region.WordCount; j++ {
+			w := region.WordStart + j
+			for i := 0; i < region.RowCount; i++ {
+				row := region.RowStart + i
+				expWord := expected[i][w*wordU64s : (w+1)*wordU64s]
 
 				// Lines 6-7: fully refresh the row so every iteration starts
 				// from the same charge state.
@@ -220,23 +221,19 @@ func Run(ctrl *memctrl.Controller, region Region, cfg Config) (*FailureProfile, 
 				}
 				// Lines 8-10: activate with reduced tRCD, read the word,
 				// precharge.
-				got, _, err := ctrl.ReadWord(region.Bank, row, w)
-				if err != nil {
+				if _, err := ctrl.ReadWordInto(region.Bank, row, w, got); err != nil {
 					return nil, err
 				}
 				// Line 11: record activation failures.
 				dirty := false
+				base := (i*region.WordCount + j) * g.WordBits
 				for u := 0; u < wordU64s; u++ {
 					diff := got[u] ^ expWord[u]
-					if diff == 0 {
-						continue
+					if diff != 0 {
+						dirty = true
 					}
-					dirty = true
-					for bit := 0; bit < 64; bit++ {
-						if diff&(1<<uint(bit)) != 0 {
-							col := w*g.WordBits + u*64 + bit
-							profile.Counts[CellAddr{Bank: region.Bank, Row: row, Col: col}]++
-						}
+					for ; diff != 0; diff &= diff - 1 {
+						counts[base+u*64+bits.TrailingZeros64(diff)]++
 					}
 				}
 				// Restore the pattern so subsequent iterations test the same
@@ -252,6 +249,23 @@ func Run(ctrl *memctrl.Controller, region Region, cfg Config) (*FailureProfile, 
 				}
 			}
 		}
+	}
+
+	profile := &FailureProfile{
+		Region:     region,
+		Pattern:    cfg.Pattern,
+		TRCDNS:     cfg.TRCDNS,
+		Iterations: cfg.Iterations,
+		Counts:     make(map[CellAddr]int),
+	}
+	for idx, n := range counts {
+		if n == 0 {
+			continue
+		}
+		cell := idx / g.WordBits
+		i, j := cell/region.WordCount, cell%region.WordCount
+		col := (region.WordStart+j)*g.WordBits + idx%g.WordBits
+		profile.Counts[CellAddr{Bank: region.Bank, Row: region.RowStart + i, Col: col}] = int(n)
 	}
 	return profile, nil
 }
