@@ -36,8 +36,8 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# drange-vet is this repo's own analyzer suite (cmd/drange-vet): lockcheck,
-# noalloc, entropyflow, packedpath, deprecations, seedtaint and atomiccheck.
+# drange-vet is this repo's own suite of six analyzers (cmd/drange-vet):
+# lockcheck, noalloc, entropyflow, packedpath, seedtaint and atomiccheck.
 # It runs under the standard vet driver so findings carry package/position
 # info and results (including the interprocedural facts seedtaint and
 # atomiccheck exchange) are cached per package like any other vet analysis.

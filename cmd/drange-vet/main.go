@@ -1,11 +1,9 @@
-// Command drange-vet runs the repo's custom analyzers (lockcheck, noalloc,
-// entropyflow, packedpath, deprecations, seedtaint, atomiccheck) over Go
-// packages.
+// Command drange-vet runs the repo's six custom analyzers (lockcheck,
+// noalloc, entropyflow, packedpath, seedtaint, atomiccheck) over Go packages.
 //
 // Standalone mode loads packages itself via the go command:
 //
 //	drange-vet ./...
-//	drange-vet -fix ./...   # additionally apply suggested fixes
 //
 // It also speaks the go vet vettool protocol, so the same binary works as
 //
@@ -39,12 +37,10 @@ import (
 	"go/token"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/atomiccheck"
-	"repro/internal/analysis/deprecations"
 	"repro/internal/analysis/entropyflow"
 	"repro/internal/analysis/lockcheck"
 	"repro/internal/analysis/noalloc"
@@ -57,7 +53,6 @@ var analyzers = []*analysis.Analyzer{
 	noalloc.Analyzer,
 	entropyflow.Analyzer,
 	packedpath.Analyzer,
-	deprecations.Analyzer,
 	seedtaint.Analyzer,
 	atomiccheck.Analyzer,
 }
@@ -81,21 +76,11 @@ func main() {
 		os.Exit(unitcheck(args[0]))
 	}
 
-	applyFixes := false
-	var patterns []string
-	for _, a := range args {
-		switch a {
-		case "-fix", "--fix":
-			applyFixes = true
-		default:
-			patterns = append(patterns, a)
-		}
-	}
-	if len(patterns) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: drange-vet [-fix] <packages>")
+	if len(args) == 0 {
+		fmt.Fprintln(os.Stderr, "usage: drange-vet <packages>")
 		os.Exit(1)
 	}
-	findings, err := analysis.Run("", patterns, analyzers)
+	findings, err := analysis.Run("", args, analyzers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "drange-vet:", err)
 		os.Exit(1)
@@ -103,57 +88,9 @@ func main() {
 	for _, f := range findings {
 		fmt.Fprintln(os.Stderr, f)
 	}
-	if applyFixes {
-		n, err := fixAll(findings)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "drange-vet:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "drange-vet: applied %d suggested fix(es)\n", n)
-	}
 	if len(findings) > 0 {
 		os.Exit(2)
 	}
-}
-
-// fixAll applies the first suggested fix of every finding that has one.
-// Edits are grouped per file and applied back to front so earlier offsets
-// stay valid; overlapping edits within a file are dropped with a warning.
-func fixAll(findings []analysis.Finding) (int, error) {
-	type edit = analysis.ResolvedEdit
-	byFile := map[string][]edit{}
-	applied := 0
-	for _, f := range findings {
-		if len(f.Fixes) == 0 {
-			continue
-		}
-		fix := f.Fixes[0]
-		for _, e := range fix.Edits {
-			byFile[e.Filename] = append(byFile[e.Filename], e)
-		}
-		applied++
-	}
-	for _, name := range analysis.SortedKeys(byFile) {
-		edits := byFile[name]
-		sort.Slice(edits, func(i, j int) bool { return edits[i].Start > edits[j].Start })
-		data, err := os.ReadFile(name)
-		if err != nil {
-			return applied, err
-		}
-		lastStart := len(data) + 1
-		for _, e := range edits {
-			if e.Start < 0 || e.End > len(data) || e.End > lastStart {
-				fmt.Fprintf(os.Stderr, "drange-vet: skipping overlapping fix in %s\n", name)
-				continue
-			}
-			data = append(data[:e.Start], append(append([]byte{}, e.NewText...), data[e.End:]...)...)
-			lastStart = e.Start
-		}
-		if err := os.WriteFile(name, data, 0o666); err != nil {
-			return applied, err
-		}
-	}
-	return applied, nil
 }
 
 // selfID hashes the executable so the go command's vet result cache is

@@ -139,5 +139,5 @@
 // The benchmark harness in bench_test.go regenerates every table and figure
 // of the paper's evaluation; see DESIGN.md for the experiment index and
 // EXPERIMENTS.md for paper-versus-measured numbers, and README.md for the
-// module guide and the migration table from the deprecated drange.New API.
+// module guide.
 package repro

@@ -24,8 +24,7 @@
 // Configuration uses functional options (WithManufacturer, WithSerial,
 // WithDeterministic, WithGeometry, WithTRCD, WithProfilingRegion,
 // WithPaperIdentification, WithShards, WithPostprocess, ...), which
-// distinguish unset parameters from explicit zeros. The deprecated New and
-// Config remain as thin shims over the new API.
+// distinguish unset parameters from explicit zeros.
 //
 // Devices are opened through pluggable backends implementing the public
 // Device contract: "sim" (the default simulator), "replay" (operation-log
@@ -407,7 +406,6 @@ func Open(ctx context.Context, profile *Profile, opts ...Option) (Source, error)
 	g.single = true
 	g.members = []*servingMember{m}
 	g.policy = HealthPolicy{Disabled: true}
-	g.closeHook = g.closeLegacyLocked
 	if len(o.post) > 0 {
 		chain, err := newPostChain(o.post)
 		if err != nil {
@@ -480,9 +478,9 @@ func Open(ctx context.Context, profile *Profile, opts ...Option) (Source, error)
 	return g, nil
 }
 
-// Generator is the concrete Source returned by Open (and by the deprecated
-// New). Beyond the Source interface it exposes the profile it runs under and
-// the evaluation estimators of Section 7.3. It is safe for concurrent use.
+// Generator is the concrete Source returned by Open. Beyond the Source
+// interface it exposes the profile it runs under and the evaluation
+// estimators of Section 7.3. It is safe for concurrent use.
 //
 // A Generator is served as a 1-member pool: the embedded servingCore carries
 // the single member (health monitor, DRBG state, tier accounting) and
@@ -508,20 +506,6 @@ type Generator struct {
 	ctrl *memctrl.Controller
 	trng *core.TRNG
 	eng  *core.Engine
-
-	// legacy is the Engine attached through the deprecated Engine method;
-	// while set, estimates refuse to run (their fresh controllers would
-	// desynchronise the running shards' bank state).
-	legacy *Engine // drange:guardedby mu
-}
-
-// closeLegacyLocked stops an engine attached through the deprecated Engine
-// method. It runs as the serving core's closeHook, under mu.
-func (g *Generator) closeLegacyLocked() {
-	if g.legacy != nil {
-		g.legacy.eng.Close()
-		g.legacy = nil
-	}
 }
 
 // Profile returns the device profile this generator runs under.
@@ -605,7 +589,7 @@ func (g *Generator) Stats() Stats {
 // errEngineActive is returned by the estimators while harvesting shards own
 // the device.
 func errEngineActive() error {
-	return fmt.Errorf("drange: estimates unavailable while a harvesting engine is active on this device: the estimator's fresh controller would race the shards' bank state; Close the engine (or open a sequential Source) first")
+	return fmt.Errorf("drange: estimates unavailable while a harvesting engine is active on this device: the estimator's fresh controller would race the shards' bank state; open a sequential Source to run estimates")
 }
 
 // estimate runs fn while holding the generator lock, guarding against an
@@ -617,7 +601,7 @@ func (g *Generator) estimate(fn func() error) error {
 	if g.closed.Load() {
 		return fmt.Errorf("drange: source is closed")
 	}
-	if g.eng != nil || g.legacy != nil {
+	if g.eng != nil {
 		return errEngineActive()
 	}
 	err := fn()

@@ -169,6 +169,9 @@ func TestOpenEndToEnd(t *testing.T) {
 	if err := src.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if err := src.Close(); err != nil {
+		t.Errorf("second Close errored: %v", err)
+	}
 	if _, err := src.Read(buf); err == nil {
 		t.Error("read after Close succeeded")
 	}
@@ -408,35 +411,21 @@ func TestGeneratorEstimates(t *testing.T) {
 }
 
 func TestEstimatesRejectedWhileEngineActive(t *testing.T) {
-	src := openQuick(t)
-	g := src.(*Generator)
-	eng, err := g.Engine(context.Background(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A sharded Source's harvesting shards own the device for its lifetime,
+	// so every estimator refuses to run on it.
+	g := openQuick(t, WithShards(2)).(*Generator)
 	if _, err := g.EstimateThroughput(1, 10); err == nil || !strings.Contains(err.Error(), "engine is active") {
-		t.Errorf("EstimateThroughput during engine run: err = %v, want engine-active error", err)
+		t.Errorf("EstimateThroughput on a sharded Source: err = %v, want engine-active error", err)
 	}
 	if _, err := g.EstimateLatency64(); err == nil || !strings.Contains(err.Error(), "engine is active") {
-		t.Errorf("EstimateLatency64 during engine run: err = %v, want engine-active error", err)
+		t.Errorf("EstimateLatency64 on a sharded Source: err = %v, want engine-active error", err)
 	}
 	if _, err := g.EstimateEnergyPerBit(10); err == nil || !strings.Contains(err.Error(), "engine is active") {
-		t.Errorf("EstimateEnergyPerBit during engine run: err = %v, want engine-active error", err)
+		t.Errorf("EstimateEnergyPerBit on a sharded Source: err = %v, want engine-active error", err)
 	}
 	buf := make([]byte, 64)
-	if _, err := eng.Read(buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.EstimateThroughput(1, 10); err != nil {
-		t.Errorf("EstimateThroughput after engine Close failed: %v", err)
-	}
-
-	sharded := openQuick(t, WithShards(2))
-	if _, err := sharded.(*Generator).EstimateLatency64(); err == nil || !strings.Contains(err.Error(), "engine is active") {
-		t.Errorf("estimate on a sharded Source: err = %v, want engine-active error", err)
+	if _, err := g.Read(buf); err != nil {
+		t.Errorf("read after rejected estimates failed: %v", err)
 	}
 }
 
@@ -627,96 +616,17 @@ func TestNISTSmokeTest(t *testing.T) {
 	}
 }
 
-// legacyConfig mirrors the old test configuration for the deprecated shim.
-func legacyConfig() Config {
-	return Config{
-		Manufacturer:       "A",
-		Serial:             1,
-		Deterministic:      true,
-		Geometry:           quickGeometry(),
-		ProfileRowsPerBank: 48,
-		ProfileWordsPerRow: 8,
-		ProfileBanks:       2,
-		Samples:            300,
-		Tolerance:          0.4,
-		MaxBiasDelta:       0.02,
-		ScreenIterations:   30,
-	}
-}
-
-func TestLegacyNewShim(t *testing.T) {
-	g, err := New(legacyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	if len(g.Cells()) == 0 || len(g.Selections()) == 0 || g.Banks() == 0 {
-		t.Fatal("legacy New returned an empty generator")
-	}
-	if g.Profile() == nil || g.Profile().Validate() != nil {
-		t.Error("legacy New did not produce a valid profile")
-	}
-	buf := make([]byte, 256)
-	if _, err := g.Read(buf); err != nil {
-		t.Fatal(err)
-	}
-	checkBias(t, buf)
-
-	// Stats must account generation time only, not the characterization
-	// cycles New spent on the same controller: with those included the
-	// apparent rate would be orders of magnitude below a real harvest rate.
-	if st := g.Stats(); st.AggregateThroughputMbps < 1 {
-		t.Errorf("legacy generator throughput = %v Mb/s; characterization cycles leaked into Stats", st.AggregateThroughputMbps)
-	}
-
-	eng, err := g.Engine(context.Background(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	if eng.Shards() == 0 {
-		t.Fatal("legacy engine has no shards")
-	}
-	if _, err := eng.Read(buf); err != nil {
-		t.Fatal(err)
-	}
-	st := eng.Stats()
-	if st.BitsDelivered != int64(len(buf)*8) || len(st.Shards) != eng.Shards() {
-		t.Errorf("legacy engine stats = %+v", st)
-	}
-}
-
-func TestNewRejectsBadConfig(t *testing.T) {
-	cfg := legacyConfig()
-	cfg.Manufacturer = "Z"
-	if _, err := New(cfg); err == nil {
+func TestCharacterizeRejectsBadOptions(t *testing.T) {
+	ctx := context.Background()
+	if _, err := Characterize(ctx, append(quickOptions(), WithManufacturer("Z"))...); err == nil {
 		t.Error("unknown manufacturer accepted")
 	}
-	cfg = legacyConfig()
-	cfg.ReducedTRCDNS = 50
-	if _, err := New(cfg); err == nil {
+	if _, err := Characterize(ctx, append(quickOptions(), WithTRCD(50))...); err == nil {
 		t.Error("tRCD above default accepted")
 	}
-	cfg = legacyConfig()
-	cfg.Geometry.WordBits = 100
-	if _, err := New(cfg); err == nil {
+	geo := quickGeometry()
+	geo.WordBits = 100
+	if _, err := Characterize(ctx, append(quickOptions(), WithGeometry(geo))...); err == nil {
 		t.Error("invalid geometry accepted")
-	}
-}
-
-func TestLegacyConfigSentinels(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.Manufacturer != "A" || c.ReducedTRCDNS != 10.0 || c.Samples != 600 {
-		t.Errorf("defaults = %+v", c)
-	}
-	p := Config{PaperIdentification: true}.withDefaults()
-	if p.Samples != 1000 || p.Tolerance != 0.10 {
-		t.Errorf("paper identification defaults = %+v", p)
-	}
-	// The documented legacy flaw the options API fixes: an explicit zero is
-	// indistinguishable from unset and silently becomes the default.
-	z := Config{MaxBiasDelta: 0}.withDefaults()
-	if z.MaxBiasDelta != 0.02 {
-		t.Errorf("legacy explicit zero bias bound = %v, want the documented sentinel default 0.02", z.MaxBiasDelta)
 	}
 }

@@ -291,12 +291,6 @@ func TestHealthTestsOptionValidation(t *testing.T) {
 	if h := src.Stats().Health; h != nil {
 		t.Errorf("disabled policy still reports health stats: %+v", h)
 	}
-	// The deprecated Engine shim reads around the monitor, so the
-	// combination is rejected rather than silently untested.
-	monitored := openQuick(t, WithHealthTests(HealthTestPolicy{}))
-	if _, err := monitored.(*Generator).Engine(ctx, 2); err == nil {
-		t.Error("deprecated Engine shim accepted on a health-monitored source")
-	}
 }
 
 // TestHealthTestsWithPostprocess: the monitor watches the raw stream feeding

@@ -2,8 +2,8 @@ package drange
 
 import "fmt"
 
-// Option configures Characterize and Open. Unlike the deprecated Config
-// struct, options distinguish "unset" from "explicitly zero": a parameter is
+// Option configures Characterize and Open. Options distinguish "unset" from
+// "explicitly zero": a parameter is
 // defaulted only when its option is never applied, so explicit zeros (for
 // example a zero bias bound via WithMaxBiasDelta(0)) are honoured, and
 // explicit values that are invalid (WithTRCD(0), WithTolerance(0)) fail

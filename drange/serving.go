@@ -230,10 +230,6 @@ type servingCore struct {
 	// concurrent gates the lock-free fast path: every member must be
 	// engine-backed (the sequential TRNG sampler is single-threaded).
 	concurrent bool
-	// closeHook, when set, runs under mu at the start of Close — the
-	// Generator uses it to stop an engine attached through the deprecated
-	// Engine shim before the member sampler closes.
-	closeHook func()
 
 	// remainder reports whether any member holds sub-word buffered bits
 	// from a bit-granular read; while set, Read takes the locked path so
@@ -1172,8 +1168,7 @@ func (c *servingCore) Uint64() (uint64, error) {
 }
 
 // Close releases the core: it stops every member engine and releases every
-// device (after running the facade's closeHook, e.g. to stop a deprecated
-// Engine shim). It is idempotent. A single-device core reports release
+// device. It is idempotent. A single-device core reports release
 // errors; a pool — whose members may already be part-closed by evictions —
 // returns nil, as it always has.
 func (c *servingCore) Close() error {
@@ -1181,9 +1176,6 @@ func (c *servingCore) Close() error {
 	if c.closed.Swap(true) {
 		c.mu.Unlock()
 		return nil
-	}
-	if c.closeHook != nil {
-		c.closeHook()
 	}
 	if c.cancel != nil {
 		c.cancel()

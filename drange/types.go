@@ -355,11 +355,6 @@ type PoolDeviceStats struct {
 	DRBG *DRBGStats `json:"drbg,omitempty"`
 }
 
-// EngineStats is the former name of Stats.
-//
-// Deprecated: use Stats.
-type EngineStats = Stats
-
 func statsFromEngine(st core.EngineStats) Stats {
 	out := Stats{
 		Shards:                  make([]ShardStats, len(st.Shards)),

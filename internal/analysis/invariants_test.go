@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/atomiccheck"
-	"repro/internal/analysis/deprecations"
 	"repro/internal/analysis/entropyflow"
 	"repro/internal/analysis/lockcheck"
 	"repro/internal/analysis/noalloc"
@@ -24,7 +23,6 @@ var repoAnalyzers = []*analysis.Analyzer{
 	noalloc.Analyzer,
 	entropyflow.Analyzer,
 	packedpath.Analyzer,
-	deprecations.Analyzer,
 	seedtaint.Analyzer,
 	atomiccheck.Analyzer,
 }
@@ -71,7 +69,6 @@ var requiredFieldGuards = []struct {
 	{"drange/serving.go", "recharFailures", "mu"},
 	{"drange/serving.go", "lastRecharMS", "mu"},
 	{"drange/serving.go", "recharAttempts", "mu"},
-	{"drange/drange.go", "legacy", "mu"},
 	{"drange/replay.go", "err", "mu"},
 	{"drange/replay.go", "cursor", "mu"},
 	{"internal/core/engine.go", "shardErr", "errMu"},

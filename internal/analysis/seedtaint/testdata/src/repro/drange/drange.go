@@ -110,7 +110,8 @@ func (b *BadWaiver) Uint64() (uint64, error) { // want "requires a reason" "may 
 	return words[0], nil
 }
 
-// Old is the deprecated legacy facade: its exit sinks are not checked.
+// Old is a deprecated facade: a Deprecated: marker exempts no exit sink, so
+// its leaking Read is reported like any other.
 //
 // Deprecated: use Leaky's replacement.
 type Old struct {
@@ -121,7 +122,7 @@ func (o *Old) Read(p []byte) (int, error) {
 	if err := sampler.Harvest(o.dev, p); err != nil {
 		return 0, err
 	}
-	return len(p), nil
+	return len(p), nil // want "Old\\.Read writes raw device entropy that has not passed health\\.Monitor into p"
 }
 
 // SeedDRBG feeds a raw harvest straight into a DRBG instantiation.

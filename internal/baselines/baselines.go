@@ -16,7 +16,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/dram"
 	"repro/internal/power"
@@ -286,15 +285,6 @@ func DRangeRow(latency64NS, energyPerBitNJ, peakThroughputMbps float64) Metrics 
 		EnergyPerBitNJ:     energyPerBitNJ,
 		PeakThroughputMbps: peakThroughputMbps,
 	}
-}
-
-// DRangeRowFromEngine builds the D-RaNGe row of Table 2 from a sharded
-// harvesting engine's measured aggregate accounting: the summed per-shard
-// throughput models the multi-bank/multi-channel scaling the paper reports,
-// and the aggregate 64-bit latency is 64 bits at that rate. The energy per
-// bit still comes from the command-trace energy model (core.EnergyEstimate).
-func DRangeRowFromEngine(st core.EngineStats, energyPerBitNJ float64) Metrics {
-	return DRangeRow(st.Latency64NS, energyPerBitNJ, st.AggregateThroughputMbps)
 }
 
 // Table2 assembles the full comparison table given D-RaNGe's measured
