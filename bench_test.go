@@ -760,6 +760,47 @@ func BenchmarkDRBGRead(b *testing.B) {
 	})
 }
 
+// BenchmarkDRBGReadBesideRaw measures the DRBG tier while a background
+// goroutine keeps calling ReadRaw on the same health-tested Source — the
+// mixed load where a raw harvest must not hold up DRBG readers. Raw reads
+// screen their bits under the member's own lock rather than the core mutex,
+// so the DRBG tier waits only for the occasional reseed harvest.
+func BenchmarkDRBGReadBesideRaw(b *testing.B) {
+	src := benchSource(b, drange.WithShards(4), drange.WithDRBG(drange.DRBGPolicy{}))
+	buf := make([]byte, 1024)
+	if _, err := src.Read(buf); err != nil {
+		b.Fatal(err)
+	}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		raw := make([]byte, 1024)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := src.ReadRaw(raw); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	}()
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := src.Read(buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	close(stop)
+	<-done
+}
+
 // BenchmarkPostprocessedRead measures the serving path through a von Neumann
 // corrector chain (Section 2.2), the heaviest-discarding built-in stage.
 func BenchmarkPostprocessedRead(b *testing.B) {

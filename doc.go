@@ -127,14 +127,17 @@
 // steady-state allocations), the post-processing correctors and the online
 // health monitor both operate on the packed stream, and ReadBits remains a
 // thin unpacking adapter for callers that want individual bits. A sharded
-// Source without monitor or post chain reads lock-free behind the engine's
-// consumer lock; a Pool in the same configuration schedules concurrent
-// readers onto its least-loaded members with atomic counters, so
-// multi-reader throughput scales instead of serializing behind the pool
-// mutex. Attaching WithHealthTests or WithPostprocess engages the locked
-// path: windowed tests and corrector carries need one well-defined stream
-// order. BENCH_pr5.json records the measured serving-path trajectory; the
-// CI bench job regenerates it on every push.
+// Source or a Pool without a post chain reads raw bytes without the core
+// mutex: concurrent readers schedule themselves onto the least-loaded
+// members with atomic counters, and each member screens its fetches
+// through its health monitor under a per-member screening lock, so the
+// monitor still sees that member's stream in engine order. Raw readers of
+// different members never serialize, and a raw harvest never stalls the
+// DRBG tier. Attaching WithPostprocess engages the locked path (corrector
+// carries need one well-defined stream order), as do the sequential TRNG
+// sampler and the sub-word remainder a ReadBits leaves behind.
+// BENCH_pr5.json records the measured serving-path trajectory; the CI bench
+// job regenerates it on every push.
 //
 // The benchmark harness in bench_test.go regenerates every table and figure
 // of the paper's evaluation; see DESIGN.md for the experiment index and

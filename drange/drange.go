@@ -554,7 +554,7 @@ func (g *Generator) Stats() Stats {
 		// aggregate reports what callers actually received (they differ
 		// only under a post-processing chain).
 		st.BitsDelivered = g.delivered.Load()
-		st.Health = g.healthStatsLocked()
+		st.Health = g.memberHealthLocked(g.members[0])
 		g.tierStatsLocked(&st)
 		return st
 	}
@@ -580,7 +580,7 @@ func (g *Generator) Stats() Stats {
 		BitsDelivered:           g.delivered.Load(),
 		AggregateThroughputMbps: ss.ThroughputMbps,
 		Latency64NS:             ss.Latency64NS,
-		Health:                  g.healthStatsLocked(),
+		Health:                  g.memberHealthLocked(g.members[0]),
 	}
 	g.tierStatsLocked(&st)
 	return st

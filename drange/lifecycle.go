@@ -305,9 +305,9 @@ func (c *servingCore) readmit(m *servingMember, prof *Profile, start time.Time) 
 	// The re-characterized operating point is the new health baseline: bias
 	// windows restart clean and temperature drift is measured from now.
 	m.baseTempC = m.pub.Temperature()
-	if m.monitor != nil {
-		m.monitor.Reset()
-		m.startupOK = tested || !c.testsEnabled
+	if c.testsEnabled {
+		m.resetMonitor()
+		m.startupOK = tested
 	}
 	m.reason = ""
 	m.readmissions++

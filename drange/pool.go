@@ -322,8 +322,7 @@ func (p *Pool) Stats() Stats {
 			lc.Recharacterizations += m.recharacterizations
 			lc.RecharFailures += m.recharFailures
 		}
-		if m.monitor != nil {
-			ds.Health = healthStatsFrom(m.monitor, m.blockedWindows, m.startupOK)
+		if ds.Health = p.memberHealthLocked(m); ds.Health != nil {
 			agg := out.Health
 			agg.BitsTested += ds.Health.BitsTested
 			agg.SymbolsTested += ds.Health.SymbolsTested

@@ -140,11 +140,17 @@ type servingMember struct {
 	win       atomic.Int64 // drange:atomic
 	biasDelta float64      // drange:guardedby mu
 
+	// screenMu serializes "fetch from the sampler, then ingest into the
+	// monitor" on this member, so its monitor sees the member's stream in
+	// sampler order whichever serving path fetched it — the lock-free path
+	// screens raw bits without the core mutex. Lock order: the core's mu,
+	// then screenMu, never the reverse.
+	screenMu sync.Mutex
 	// monitor streams this member's harvested bits through the online
 	// health tests (nil unless WithHealthTests is attached);
 	// blockedWindows counts batches discarded under HealthActionBlock and
 	// startupOK records the startup self-test outcome.
-	monitor        *health.Monitor // drange:guardedby mu
+	monitor        *health.Monitor // drange:guardedby screenMu
 	blockedWindows int64           // drange:guardedby mu
 	startupOK      bool            // drange:guardedby mu
 
@@ -192,6 +198,53 @@ func (m *servingMember) serving() bool { return m.state.Load() == int32(memberSe
 // window and returns the window's new bit count.
 func (m *servingMember) addWindow(ones, n int) int64 {
 	return m.win.Add(int64(ones)<<32|int64(n)) & 0xffffffff
+}
+
+// fetchScreened fills p from the member's sampler and streams it through the
+// member's monitor (when attached) under screenMu, returning the monitor's
+// verdict — nil for a clean batch. Fetch and ingest are one step, so no
+// fetched bit can reach a caller before the monitor has seen it. Callers hold
+// the core's mu (the locked paths), which fixes src.
+func (m *servingMember) fetchScreened(p []byte) (*health.Violation, error) {
+	m.screenMu.Lock()
+	defer m.screenMu.Unlock()
+	if err := m.src.ReadPacked(p); err != nil {
+		return nil, err
+	}
+	if m.monitor == nil {
+		return nil, nil
+	}
+	return m.monitor.IngestPacked(p, len(p)*8), nil
+}
+
+// fetchFast is fetchScreened for the lock-free path: it reads from the engine
+// published in fastEng, loaded under screenMu so a readmission's monitor
+// reset (also under screenMu) never sees a batch of the engine it replaced.
+// A nil engine means the member left serving since it was picked.
+//
+//drange:noalloc
+func (m *servingMember) fetchFast(p []byte) (*core.Engine, *health.Violation, error) {
+	m.screenMu.Lock()
+	defer m.screenMu.Unlock()
+	eng := m.fastEng.Load()
+	if eng == nil {
+		return nil, nil, nil
+	}
+	if err := eng.ReadPacked(p); err != nil {
+		return eng, nil, err
+	}
+	if m.monitor == nil {
+		return eng, nil, nil
+	}
+	return eng, m.monitor.IngestPacked(p, len(p)*8), nil
+}
+
+// resetMonitor restarts every health test of the member's monitor from a
+// clean window.
+func (m *servingMember) resetMonitor() {
+	m.screenMu.Lock()
+	m.monitor.Reset()
+	m.screenMu.Unlock()
 }
 
 // takeLocked removes and returns the top k bits of the member's buffered
@@ -462,7 +515,8 @@ func (c *servingCore) nextMemberWithBitsLocked() (*servingMember, error) {
 			return m, nil
 		}
 		buf := m.fetchBuf[:]
-		if err := m.src.ReadPacked(buf); err != nil {
+		v, err := m.fetchScreened(buf)
+		if err != nil {
 			// Sampler failure (device error, cancelled context, closed
 			// engine): evict and reschedule. The eviction keeps the last
 			// member, so a pool whose every engine is dead surfaces the
@@ -476,59 +530,82 @@ func (c *servingCore) nextMemberWithBitsLocked() (*servingMember, error) {
 			c.evictLocked(m, fmt.Sprintf("engine failure: %v", err))
 			continue
 		}
-		if m.monitor != nil {
-			if v := m.monitor.IngestPacked(buf[:], 64); v != nil {
-				switch c.testsPolicy.OnFailure {
-				case HealthActionError:
-					return nil, &HealthError{Test: string(v.Test), Device: m.idx, Detail: v.Detail}
-				case HealthActionBlock:
-					// Discard the dirty batch and refetch. The discarded
-					// batch still counts as load, so the least-loaded
-					// scheduler rotates to healthy members instead of
-					// re-picking the tripping one forever; the budget is
-					// per member per read, so a member that exhausts it is
-					// benched for the rest of the read while the healthy
-					// members keep serving.
-					m.monitor.Reset()
-					m.blockedWindows++
-					m.fetched.Add(64)
-					if m.blockedEpoch != c.readEpoch {
-						m.blockedEpoch, m.blockedInRead = c.readEpoch, 0
-					}
-					m.blockedInRead++
-					if m.blockedInRead >= c.testsPolicy.MaxBlockedWindows {
-						c.blockCause = &HealthError{Test: "blocked", Device: m.idx, Detail: fmt.Sprintf(
-							"no clean batch after discarding %d (last violation: %s: %s)", m.blockedInRead, v.Test, v.Detail)}
-						c.blockCauseEpoch = c.readEpoch
-					}
-					continue
-				default: // HealthActionEvict
-					c.retireLocked(m, fmt.Sprintf("health test %s tripped: %s", v.Test, v.Detail))
-					if !m.serving() {
-						continue
-					}
-					// The last healthy member is retained (degraded
-					// output beats no output, matching the device-health
-					// policy): serve the batch with the violation
-					// recorded in Reason and the trip counters.
-					m.monitor.Reset()
-				}
+		// A discarded batch counts as load too, so the least-loaded
+		// scheduler rotates away from a tripping member.
+		m.fetched.Add(64)
+		if v != nil {
+			serve, err := c.tripLocked(m, v)
+			if err != nil {
+				return nil, err
+			}
+			if !serve {
+				continue
 			}
 		}
 		m.cur, m.curBits = binary.BigEndian.Uint64(buf[:]), 64
-		m.fetched.Add(64)
-		if !c.policy.Disabled {
-			if w := m.addWindow(bits.OnesCount64(m.cur), 64); w >= int64(c.policy.WindowBits) {
-				c.completeWindowLocked(m)
-				// The member may have just been retired; its buffered bits
-				// are gone and the scheduler picks the next member.
-				if !m.serving() {
-					continue
-				}
+		if c.windowFull(m, buf) {
+			c.completeWindowLocked(m)
+			// The member may have just been retired; its buffered bits
+			// are gone and the scheduler picks the next member.
+			if !m.serving() {
+				continue
 			}
 		}
 		return m, nil
 	}
+}
+
+// tripLocked applies the health-test policy to a batch of m's stream that
+// tripped v, for both serving paths. HealthActionError returns the
+// *HealthError. HealthActionBlock discards the batch against m's per-member,
+// per-read budget: a member that exhausts it is benched for the rest of the
+// read while the others keep serving, and the read fails with the "blocked"
+// error only when nobody else can serve. HealthActionEvict retires m; the
+// retained last member serves the batch with the violation recorded in
+// Reason and the trip counters (degraded output beats no output, matching
+// the device-health policy). serve reports whether the batch may reach
+// callers. Callers hold mu, not m.screenMu.
+func (c *servingCore) tripLocked(m *servingMember, v *health.Violation) (serve bool, err error) {
+	switch c.testsPolicy.OnFailure {
+	case HealthActionError:
+		return false, &HealthError{Test: string(v.Test), Device: m.idx, Detail: v.Detail}
+	case HealthActionBlock:
+		m.resetMonitor()
+		m.blockedWindows++
+		if m.blockedEpoch != c.readEpoch {
+			m.blockedEpoch, m.blockedInRead = c.readEpoch, 0
+		}
+		m.blockedInRead++
+		if m.blockedInRead >= c.testsPolicy.MaxBlockedWindows {
+			c.blockCause = &HealthError{Test: "blocked", Device: m.idx, Detail: fmt.Sprintf(
+				"no clean batch after discarding %d (last violation: %s: %s)", m.blockedInRead, v.Test, v.Detail)}
+			c.blockCauseEpoch = c.readEpoch
+		}
+		return false, nil
+	default: // HealthActionEvict
+		c.retireLocked(m, fmt.Sprintf("health test %s tripped: %s", v.Test, v.Detail))
+		if !m.serving() {
+			return false, nil
+		}
+		m.resetMonitor()
+		return true, nil
+	}
+}
+
+// windowFull folds the fetched bytes p into m's bias window and reports
+// whether the window filled, which the caller then evaluates under mu with
+// completeWindowLocked. It is a no-op without a device-health policy.
+//
+//drange:noalloc
+func (c *servingCore) windowFull(m *servingMember, p []byte) bool {
+	if c.policy.Disabled {
+		return false
+	}
+	ones := 0
+	for _, b := range p {
+		ones += bits.OnesCount8(b)
+	}
+	return m.addWindow(ones, len(p)*8) >= int64(c.policy.WindowBits)
 }
 
 // readPackedLocked fills dst with packed bytes assembled across the healthy
@@ -732,7 +809,8 @@ func (c *servingCore) instantiateDRBGs() error {
 func (c *servingCore) harvestSeedLocked(m *servingMember, seed []byte) error {
 	blocked := 0
 	for {
-		if err := m.src.ReadPacked(seed); err != nil {
+		v, err := m.fetchScreened(seed)
+		if err != nil {
 			if c.single {
 				return err
 			}
@@ -743,22 +821,12 @@ func (c *servingCore) harvestSeedLocked(m *servingMember, seed []byte) error {
 			return errDRBGMemberEvicted
 		}
 		m.fetched.Add(int64(len(seed)) * 8)
-		if !c.policy.Disabled {
-			ones := 0
-			for _, b := range seed {
-				ones += bits.OnesCount8(b)
-			}
-			if w := m.addWindow(ones, len(seed)*8); w >= int64(c.policy.WindowBits) {
-				c.completeWindowLocked(m)
-				if !m.serving() {
-					return errDRBGMemberEvicted
-				}
+		if c.windowFull(m, seed) {
+			c.completeWindowLocked(m)
+			if !m.serving() {
+				return errDRBGMemberEvicted
 			}
 		}
-		if m.monitor == nil {
-			return nil
-		}
-		v := m.monitor.IngestPacked(seed, len(seed)*8)
 		if v == nil {
 			return nil
 		}
@@ -766,7 +834,7 @@ func (c *servingCore) harvestSeedLocked(m *servingMember, seed []byte) error {
 		case HealthActionError:
 			return &HealthError{Test: string(v.Test), Device: m.idx, Detail: v.Detail}
 		case HealthActionBlock:
-			m.monitor.Reset()
+			m.resetMonitor()
 			m.blockedWindows++
 			blocked++
 			if blocked >= c.testsPolicy.MaxBlockedWindows {
@@ -781,7 +849,7 @@ func (c *servingCore) harvestSeedLocked(m *servingMember, seed []byte) error {
 			// The last healthy member is retained (degraded output beats no
 			// output): use the seed with the violation recorded in Reason and
 			// the trip counters.
-			m.monitor.Reset()
+			m.resetMonitor()
 			return nil
 		}
 	}
@@ -1004,14 +1072,18 @@ func (c *servingCore) stageDRBGReseedLocked(served *servingMember) {
 //
 // This is the packed fast path: the samplers hand the core packed 64-bit
 // words that land in the caller's buffer without any bit-per-byte expansion.
-// With engine-backed members, no post-processing chain and no online health
-// tests attached, ReadRaw additionally runs lock-free — concurrent readers
-// schedule themselves onto the least-loaded members through atomic load
-// counters and only touch the core mutex at bias-window boundaries and
-// evictions, so throughput scales with readers instead of serializing behind
-// the lock. (Device health tracking per HealthPolicy stays fully enforced on
-// this path.) This is also the single tier-accounting site of the raw tier:
-// both exits count the read if and only if it succeeded.
+// With engine-backed members and no post-processing chain, ReadRaw
+// additionally runs without the core mutex — concurrent readers schedule
+// themselves onto the least-loaded members through atomic load counters, and
+// each member screens its fetches through its health monitor under its own
+// screening lock, so raw harvests neither serialize readers of different
+// members nor stall the DRBG tier. The core mutex is only taken at
+// bias-window boundaries, evictions and health trips (a trip hands the rest
+// of the read to the locked path, which applies the trip policy). The locked
+// path serves the sequential TRNG sampler, post-processing chains and the
+// sub-word remainder of bit-granular reads. This is also the single
+// tier-accounting site of the raw tier: both exits count the read if and
+// only if it succeeded.
 //
 //drange:seedtaint-exempt documented raw tier: delivers unconditioned entropy by contract
 func (c *servingCore) ReadRaw(p []byte) (int, error) {
@@ -1021,7 +1093,7 @@ func (c *servingCore) ReadRaw(p []byte) (int, error) {
 	// Buffered sub-word bits from an earlier ReadBits must be served first
 	// and in order, so they force the locked path for this read; a
 	// sequential (TRNG-backed) core always takes it.
-	if c.concurrent && c.post == nil && !c.testsEnabled && !c.remainder.Load() {
+	if c.concurrent && c.post == nil && !c.remainder.Load() {
 		n, err := c.readFast(p)
 		if err == nil {
 			c.tierRawReads.Add(1)
@@ -1079,8 +1151,9 @@ func (c *servingCore) pickMember() *servingMember {
 }
 
 // readFast is the concurrent Read path: packed 64-bit fetches from the
-// least-loaded member's engine straight into the caller's buffer, with the
-// core mutex taken only for bias-window evaluation and evictions.
+// least-loaded member's engine straight into the caller's buffer, each
+// screened by the member's monitor under its screening lock, with the core
+// mutex taken only for bias-window evaluation, evictions and health trips.
 //
 //drange:noalloc
 func (c *servingCore) readFast(dst []byte) (int, error) {
@@ -1107,14 +1180,14 @@ func (c *servingCore) readFast(dst []byte) (int, error) {
 		// swap, so a reader that saw the member serving reads the engine
 		// that state belongs to.
 		m.fetched.Add(int64(n) * 8)
-		eng := m.fastEng.Load()
+		eng, v, err := m.fetchFast(chunk)
 		if eng == nil {
 			// The member left serving between the pick and the engine load
 			// (a quarantine or eviction cleared the pointer); re-pick.
 			m.fetched.Add(-int64(n) * 8)
 			continue
 		}
-		if err := eng.ReadPacked(chunk); err != nil {
+		if err != nil {
 			m.fetched.Add(-int64(n) * 8)
 			if c.single {
 				return 0, err
@@ -1140,19 +1213,61 @@ func (c *servingCore) readFast(dst []byte) (int, error) {
 			c.mu.Unlock()
 			continue
 		}
+		if v != nil {
+			// Cold: settle the trip under mu and finish on the locked path.
+			return c.readFastTripped(dst, i, n, m, eng, v)
+		}
 		m.delivered.Add(int64(n) * 8)
-		if !c.policy.Disabled {
-			ones := 0
-			for _, b := range chunk {
-				ones += bits.OnesCount8(b)
-			}
-			if w := m.addWindow(ones, n*8); w >= int64(c.policy.WindowBits) {
-				c.mu.Lock()
-				c.completeWindowLocked(m)
-				c.mu.Unlock()
-			}
+		if c.windowFull(m, chunk) {
+			c.mu.Lock()
+			c.completeWindowLocked(m)
+			c.mu.Unlock()
 		}
 		i += n
+	}
+	c.delivered.Add(int64(len(dst)) * 8)
+	return len(dst), nil
+}
+
+// readFastTripped finishes a lock-free read whose n-byte batch at dst[off:],
+// fetched from m's engine eng, tripped the health tests with v. It applies
+// the trip policy under mu exactly as the locked path does (tripLocked) and
+// serves the rest of the read on the locked path, so a trip has the same
+// outcome whichever path met it. A batch from a member that left serving or
+// was readmitted meanwhile is discarded without a verdict, like a stale
+// engine failure. Discarded bits are zeroed: no caller sees a tripped batch,
+// even one that ignores the error. The caller released m.screenMu first —
+// the lock order is mu, then screenMu.
+func (c *servingCore) readFastTripped(dst []byte, off, n int, m *servingMember, eng *core.Engine, v *health.Violation) (int, error) {
+	batch := dst[off : off+n]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed.Load() {
+		clear(batch)
+		return 0, c.errClosed()
+	}
+	c.readEpoch++
+	defer c.updateRemainderLocked()
+	var serve bool
+	var err error
+	if m.serving() && m.eng == eng {
+		serve, err = c.tripLocked(m, v)
+	}
+	if !serve {
+		clear(batch)
+	}
+	if err != nil {
+		return 0, err
+	}
+	if serve {
+		m.delivered.Add(int64(n) * 8)
+		if c.windowFull(m, batch) {
+			c.completeWindowLocked(m)
+		}
+		off += n
+	}
+	if err := c.readPackedLocked(dst[off:]); err != nil {
+		return 0, err
 	}
 	c.delivered.Add(int64(len(dst)) * 8)
 	return len(dst), nil
@@ -1233,10 +1348,11 @@ func (c *servingCore) tierStatsLocked(st *Stats) {
 	}
 }
 
-// healthStatsLocked snapshots a single-device core's health accounting (nil
-// without WithHealthTests). Callers hold mu.
-func (c *servingCore) healthStatsLocked() *HealthStats {
-	m := c.members[0]
+// memberHealthLocked snapshots m's health accounting (nil without
+// WithHealthTests), reading the monitor under m.screenMu. Callers hold mu.
+func (c *servingCore) memberHealthLocked(m *servingMember) *HealthStats {
+	m.screenMu.Lock()
+	defer m.screenMu.Unlock()
 	if m.monitor == nil {
 		return nil
 	}

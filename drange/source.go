@@ -24,7 +24,7 @@ import (
 //
 // Read is the fast representation: it fills the caller's buffer directly
 // from the sampler's packed 64-bit words (zero steady-state allocations
-// without a monitor or post-processing chain). ReadBits serves the same
+// without a post-processing chain). ReadBits serves the same
 // stream bit-granularly — one value-0/1 byte per bit — as an unpacking
 // adapter; mixing the two drains a single well-defined bit sequence, no bit
 // is dropped or duplicated at the boundary.

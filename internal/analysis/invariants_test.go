@@ -62,7 +62,7 @@ var requiredFieldGuards = []struct {
 	{"drange/serving.go", "readEpoch", "mu"},
 	{"drange/serving.go", "blockCause", "mu"},
 	{"drange/serving.go", "drbg", "mu"},
-	{"drange/serving.go", "monitor", "mu"},
+	{"drange/serving.go", "monitor", "screenMu"},
 	{"drange/serving.go", "pendingDRBG", "mu"},
 	{"drange/serving.go", "readmissions", "mu"},
 	{"drange/serving.go", "recharacterizations", "mu"},
@@ -86,6 +86,8 @@ var requiredNoalloc = []struct {
 }{
 	{"drange/serving.go", "readFast"},
 	{"drange/serving.go", "pickMember"},
+	{"drange/serving.go", "fetchFast"},
+	{"drange/serving.go", "windowFull"},
 	{"drange/serving.go", "writeBits"},
 	{"drange/serving.go", "drbgReadLocked"},
 	{"drange/serving.go", "reseedMemberLocked"},

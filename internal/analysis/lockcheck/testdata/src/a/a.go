@@ -52,3 +52,27 @@ func newCounter() *counter {
 	c.mu.Unlock()
 	return c
 }
+
+// member mirrors a serving member whose screened state has a lock of its own,
+// next to an owner's unrelated mu.
+type member struct {
+	mu       sync.Mutex
+	screenMu sync.Mutex
+	screened int // drange:guardedby screenMu
+}
+
+// wrongLock holds a mutex, but not the one guarding screened: holding some
+// lock is not holding the right one.
+func wrongLock(m *member) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.screened // want "access to screened \\(guarded by screenMu\\)"
+}
+
+func rightLock(m *member) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.screenMu.Lock()
+	defer m.screenMu.Unlock()
+	return m.screened
+}

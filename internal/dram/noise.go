@@ -34,7 +34,8 @@ func boxMuller(u1, u2 float64) float64 {
 }
 
 // PhysicalNoise is a NoiseSource backed by the operating system entropy pool.
-// It buffers entropy to avoid a system call per sample.
+// It buffers entropy to avoid a system call per sample, refilling one buffer
+// in place so steady-state draws allocate nothing.
 type PhysicalNoise struct {
 	mu  sync.Mutex
 	buf []byte // drange:guardedby mu
@@ -50,7 +51,9 @@ func (p *PhysicalNoise) uniform() float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.off+8 > len(p.buf) {
-		p.buf = make([]byte, 4096)
+		if p.buf == nil {
+			p.buf = make([]byte, 4096)
+		}
 		p.off = 0
 		if _, err := rand.Read(p.buf); err != nil {
 			// crypto/rand failing is unrecoverable for a TRNG; surface it

@@ -31,6 +31,22 @@ func TestPhysicalNoiseMoments(t *testing.T) {
 	checkGaussianMoments(t, "PhysicalNoise", NewPhysicalNoise(), 5000)
 }
 
+// TestPhysicalNoiseRefillsInPlace: after the first refill, draws — refills of
+// the entropy buffer included — allocate nothing.
+func TestPhysicalNoiseRefillsInPlace(t *testing.T) {
+	p := NewPhysicalNoise()
+	p.Gaussian()
+	allocs := testing.AllocsPerRun(4, func() {
+		// 1024 draws take 16 KiB of entropy: four buffer refills.
+		for i := 0; i < 1024; i++ {
+			p.Gaussian()
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("1024 Gaussian draws allocate %.1f times, want 0", allocs)
+	}
+}
+
 func TestDeterministicNoiseMoments(t *testing.T) {
 	checkGaussianMoments(t, "DeterministicNoise", NewDeterministicNoise(7), 5000)
 }
