@@ -402,7 +402,7 @@ func (h *harness) interference() error {
 	profiles := workload.Profiles()
 	for _, p := range profiles {
 		reqs, err := workload.Generate(p, workload.Config{
-			Banks: geom.Banks, RowsPerBank: geom.RowsPerBank, WordsPerRow: geom.ColsPerRow / geom.WordBits,
+			Banks: geom.Banks, RowsPerBank: geom.RowsPerBank, WordsPerRow: geom.WordsPerRow(),
 			DurationNS: 200000, Seed: 11,
 		})
 		if err != nil {

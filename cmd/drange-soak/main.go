@@ -407,7 +407,7 @@ func soakScenario(ctx context.Context, wp workload.Profile, cfg scenarioConfig) 
 	trace, err := workload.Generate(wp, workload.Config{
 		Banks:       geom.Banks,
 		RowsPerBank: geom.RowsPerBank,
-		WordsPerRow: geom.ColsPerRow / geom.WordBits,
+		WordsPerRow: geom.WordsPerRow(),
 		DurationNS:  100_000, // 100 µs of simulated arrivals per trace pass
 		Seed:        cfg.seed,
 	})

@@ -37,10 +37,14 @@
 //
 // # Device backends
 //
-// drange.Device is the public mirror of the device contract: geometry and
-// identity, reduced-tRCD activation plus word reads (the entropy mechanism),
-// writes/precharge/refresh, the profiling row shortcuts, temperature, and
-// operation counters. Devices are opened through a registry
+// The device contract exists once, as internal/device.Device; drange.Device
+// is a type alias of it, so backends implement the pipeline's own contract
+// with no adapter in between. It covers geometry and identity, reduced-tRCD
+// activation plus word reads (the entropy mechanism), writes/precharge/
+// refresh, the profiling row shortcuts, temperature, and operation counters
+// (OpStats). Two capabilities are optional: Timing (device.Timed; without it
+// a device is scheduled as the LPDDR4 part) and the allocation-free
+// ReadWordInto (device.WordReaderInto). Devices are opened through a registry
 // (drange.RegisterBackend, drange.WithBackend, drange.OpenBackend) with
 // three built-ins: "sim" (the simulator), "replay" (records every device
 // operation of a run to a log and replays it byte-identically — the CI

@@ -8,95 +8,36 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/dram"
-	"repro/internal/timing"
 )
 
-// Device is the public device contract: everything a D-RaNGe pipeline needs
-// from a DRAM device, expressed with public types only. Open, Characterize
-// and OpenPool drive whatever implements it — the built-in simulator, an
-// operation-log replayer, a fault injector, or a caller-supplied backend
-// registered with RegisterBackend (or passed directly via WithDevice).
+// Device is the device contract: everything a D-RaNGe pipeline needs from a
+// DRAM device. Open, Characterize and OpenPool drive whatever implements it —
+// the built-in simulator, an operation-log replayer, a fault injector, or a
+// caller-supplied backend registered with RegisterBackend (or passed directly
+// via WithDevice) — as it is, with no adapter in between.
 //
-// The contract, in the order a generator exercises it:
-//
-//   - Identity and shape: Serial (profiles are keyed on it), Geometry.
-//   - Row commands: Activate(bank, row, trcdNS) opens a row with a
-//     caller-chosen activation latency in nanoseconds — activating below the
-//     cell-dependent critical latency must arm activation-failure injection
-//     for the first word subsequently read; activating an already-open bank
-//     is an error. Precharge closes a bank's open row (no-op when closed).
-//     Refresh performs an all-bank refresh and errors if any bank is open.
-//   - Column commands: ReadWord reads DRAM word wordIdx of the open row
-//     (the first read after a reduced-tRCD activation carries the failures);
-//     WriteWord stores one word.
-//   - Profiling shortcuts: WriteRow/ReadRowRaw bypass the command interface
-//     to install and inspect row content; StartupRow reports power-up values
-//     without disturbing state (used by the startup-value TRNG baselines).
-//   - Environment: SetTemperature/Temperature, in °C. Failure probabilities
-//     are temperature-dependent (Section 5.3), so pool health monitoring
-//     watches Temperature for drift.
-//   - Accounting: OpStats returns cumulative operation counters.
+// In the order a generator exercises them: Serial (profiles are keyed on it)
+// and Geometry; the row commands Activate(bank, row, trcdNS), Precharge and
+// Refresh, where an activation below a cell's critical latency must arm
+// activation-failure injection for the first word read from the row; the
+// column commands ReadWord and WriteWord; the profiling shortcuts WriteRow,
+// ReadRowRaw and StartupRow; SetTemperature/Temperature in °C (failure
+// probabilities are temperature-dependent, Section 5.3, so pool health
+// monitoring watches for drift); and the OpStats counters. Two capabilities
+// are optional: Timing() replaces the default LPDDR4 command schedule, and
+// ReadWordInto(bank, wordIdx, dst) is an allocation-free ReadWord. The
+// simulator implements both.
 //
 // Implementations must be safe for concurrent use by multiple goroutines:
 // sharded engines drive disjoint banks concurrently. A backend that also
 // implements io.Closer is closed when the Source (or Pool) opened over it is
 // closed.
-type Device interface {
-	Serial() uint64
-	Geometry() Geometry
+type Device = device.Device
 
-	Activate(bank, row int, trcdNS float64) error
-	Precharge(bank int) error
-	Refresh() error
-	ReadWord(bank, wordIdx int) ([]uint64, error)
-	WriteWord(bank, wordIdx int, word []uint64) error
-
-	WriteRow(bank, row int, data []uint64) error
-	ReadRowRaw(bank, row int) ([]uint64, error)
-	StartupRow(bank, row int) ([]uint64, error)
-
-	SetTemperature(c float64) error
-	Temperature() float64
-
-	OpStats() DeviceStats
-}
-
-// DeviceStats counts the operations a device has performed. It mirrors the
-// simulator's counters; backends that cannot observe a counter (for example
-// InjectedFlips on replayed logs) report it as zero.
-type DeviceStats struct {
-	Activates      int64 `json:"activates"`
-	Precharges     int64 `json:"precharges"`
-	Reads          int64 `json:"reads"`
-	Writes         int64 `json:"writes"`
-	Refreshes      int64 `json:"refreshes"`
-	InjectedFlips  int64 `json:"injected_flips"`
-	ReducedTRCDAct int64 `json:"reduced_trcd_activates"`
-}
-
-func deviceStatsFromInternal(s dram.DeviceStats) DeviceStats {
-	return DeviceStats{
-		Activates:      s.Activates,
-		Precharges:     s.Precharges,
-		Reads:          s.Reads,
-		Writes:         s.Writes,
-		Refreshes:      s.Refreshes,
-		InjectedFlips:  s.InjectedFlips,
-		ReducedTRCDAct: s.ReducedTRCDAct,
-	}
-}
-
-func (s DeviceStats) internal() dram.DeviceStats {
-	return dram.DeviceStats{
-		Activates:      s.Activates,
-		Precharges:     s.Precharges,
-		Reads:          s.Reads,
-		Writes:         s.Writes,
-		Refreshes:      s.Refreshes,
-		InjectedFlips:  s.InjectedFlips,
-		ReducedTRCDAct: s.ReducedTRCDAct,
-	}
-}
+// DeviceStats counts the operations a device has performed. Backends that
+// cannot observe a counter (for example InjectedFlips on replayed logs)
+// report it as zero.
+type DeviceStats = dram.DeviceStats
 
 // BackendParams describes the device identity a backend factory must open.
 // The identity fields come from the profile (or the Characterize options);
@@ -209,65 +150,13 @@ func openSimBackend(p BackendParams) (Device, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &simDevice{d: d}, nil
+	return d, nil
 }
-
-// simDevice exposes the internal simulated device through the public Device
-// contract.
-type simDevice struct {
-	d *dram.Device
-}
-
-func (s *simDevice) Serial() uint64                          { return s.d.Serial() }
-func (s *simDevice) Geometry() Geometry                      { return geometryFromInternal(s.d.Geometry()) }
-func (s *simDevice) Activate(b, r int, trcdNS float64) error { return s.d.Activate(b, r, trcdNS) }
-func (s *simDevice) Precharge(bank int) error                { return s.d.Precharge(bank) }
-func (s *simDevice) Refresh() error                          { return s.d.Refresh() }
-func (s *simDevice) ReadWord(b, w int) ([]uint64, error)     { return s.d.ReadWord(b, w) }
-func (s *simDevice) WriteWord(b, w int, d []uint64) error    { return s.d.WriteWord(b, w, d) }
-func (s *simDevice) WriteRow(b, r int, d []uint64) error     { return s.d.WriteRow(b, r, d) }
-func (s *simDevice) ReadRowRaw(b, r int) ([]uint64, error)   { return s.d.ReadRowRaw(b, r) }
-func (s *simDevice) StartupRow(b, r int) ([]uint64, error)   { return s.d.StartupRow(b, r) }
-func (s *simDevice) SetTemperature(c float64) error          { return s.d.SetTemperature(c) }
-func (s *simDevice) Temperature() float64                    { return s.d.Temperature() }
-func (s *simDevice) OpStats() DeviceStats                    { return deviceStatsFromInternal(s.d.Stats()) }
-
-// internalDevice adapts a public Device to the internal pipeline contract.
-// The built-in simulator is unwrapped to avoid a delegation layer on the hot
-// sampling path (and to preserve its own timing parameters); every other
-// backend is assumed to model the default LPDDR4 part, which is the only
-// timing the public facade constructs.
-func internalDevice(pub Device) device.Device {
-	if s, ok := pub.(*simDevice); ok {
-		return s.d
-	}
-	return &deviceAdapter{pub: pub, tp: timing.NewLPDDR4()}
-}
-
-type deviceAdapter struct {
-	pub Device
-	tp  timing.Params
-}
-
-func (a *deviceAdapter) Serial() uint64                          { return a.pub.Serial() }
-func (a *deviceAdapter) Geometry() dram.Geometry                 { return a.pub.Geometry().internal() }
-func (a *deviceAdapter) Timing() timing.Params                   { return a.tp }
-func (a *deviceAdapter) Activate(b, r int, trcdNS float64) error { return a.pub.Activate(b, r, trcdNS) }
-func (a *deviceAdapter) Precharge(bank int) error                { return a.pub.Precharge(bank) }
-func (a *deviceAdapter) Refresh() error                          { return a.pub.Refresh() }
-func (a *deviceAdapter) ReadWord(b, w int) ([]uint64, error)     { return a.pub.ReadWord(b, w) }
-func (a *deviceAdapter) WriteWord(b, w int, d []uint64) error    { return a.pub.WriteWord(b, w, d) }
-func (a *deviceAdapter) WriteRow(b, r int, d []uint64) error     { return a.pub.WriteRow(b, r, d) }
-func (a *deviceAdapter) ReadRowRaw(b, r int) ([]uint64, error)   { return a.pub.ReadRowRaw(b, r) }
-func (a *deviceAdapter) StartupRow(b, r int) ([]uint64, error)   { return a.pub.StartupRow(b, r) }
-func (a *deviceAdapter) SetTemperature(c float64) error          { return a.pub.SetTemperature(c) }
-func (a *deviceAdapter) Temperature() float64                    { return a.pub.Temperature() }
-func (a *deviceAdapter) Stats() dram.DeviceStats                 { return a.pub.OpStats().internal() }
 
 // closeDevice closes a backend device if it holds resources (the replay
 // recorder's log file, a faulty wrapper's inner recorder, ...).
-func closeDevice(pub Device) error {
-	if c, ok := pub.(io.Closer); ok {
+func closeDevice(dev Device) error {
+	if c, ok := dev.(io.Closer); ok {
 		return c.Close()
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/bits"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -41,10 +42,9 @@ func TestBackendRegistry(t *testing.T) {
 	}
 }
 
-// TestNoInternalTypesInExportedAPI is the acceptance gate that the public
-// Device contract really decouples the facade: a custom backend written
-// purely against package drange (no internal imports) must drive the whole
-// pipeline. countingDevice also proves WithDevice wiring end to end.
+// countingDevice is a custom backend written purely against package drange
+// (no internal imports): it must drive the whole pipeline through the Device
+// contract. It also proves WithDevice wiring end to end.
 type countingDevice struct {
 	Device
 	reads int64
@@ -199,6 +199,37 @@ func TestReplayRejectsWrongIdentity(t *testing.T) {
 	}
 	if _, err := OpenBackend("replay", BackendParams{Options: map[string]string{"path": log, "mode": "rewind"}}); err == nil {
 		t.Error("replay with a bogus mode accepted")
+	}
+}
+
+// TestReplayRejectsMalformedHeaderGeometry: a replay log's header geometry is
+// file input. Opening a hand-written log whose geometry cannot address a
+// device must fail with an error naming the log, not panic on the first
+// replayed operation (a zero WordBits would divide by zero in WriteRow).
+func TestReplayRejectsMalformedHeaderGeometry(t *testing.T) {
+	for _, tc := range []struct{ name, geometry string }{
+		{"word_bits=0", `{"banks":4,"rows_per_bank":128,"cols_per_row":2048,"subarray_rows":64,"word_bits":0}`},
+		{"banks=0", `{"banks":0,"rows_per_bank":128,"cols_per_row":2048,"subarray_rows":64,"word_bits":256}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			log := filepath.Join(t.TempDir(), "ops.jsonl")
+			content := `{"format":1,"serial":5,"geometry":` + tc.geometry + `,"temperature_c":45,"trcd_ns":18}` + "\n" +
+				`{"op":"wrow","bank":0,"row":0,"data":[0]}` + "\n"
+			if err := os.WriteFile(log, []byte(content), 0o600); err != nil {
+				t.Fatal(err)
+			}
+			dev, err := OpenBackend("replay", BackendParams{
+				Serial:  5,
+				Options: map[string]string{"mode": "replay", "path": log},
+			})
+			if err == nil {
+				closeDevice(dev)
+				t.Fatal("replay log with a malformed header geometry accepted")
+			}
+			if !strings.Contains(err.Error(), log) || !strings.Contains(err.Error(), "geometry") {
+				t.Errorf("err = %v, want it to name the log and its geometry", err)
+			}
+		})
 	}
 }
 
@@ -361,7 +392,7 @@ func TestFaultyScenarioMatrix(t *testing.T) {
 		dev := openFaultyDevice(t, map[string]string{
 			"stuck": "0", "aging": "1", "aging-onset": "8", "aging-reads": "8",
 		})
-		ctrl := memctrl.NewController(internalDevice(dev))
+		ctrl := memctrl.NewController(dev)
 		if _, err := ctrl.WriteWord(0, 0, 0, make([]uint64, wordBits/64)); err != nil {
 			t.Fatal(err)
 		}
@@ -403,7 +434,7 @@ func TestFaultyScenarioMatrix(t *testing.T) {
 		dev := openFaultyDevice(t, map[string]string{
 			"stuck": "0", "retention": "1", "retention-onset": "4",
 		})
-		ctrl := memctrl.NewController(internalDevice(dev))
+		ctrl := memctrl.NewController(dev)
 		full := make([]uint64, wordBits/64)
 		for i := range full {
 			full[i] = ^uint64(0)
@@ -425,7 +456,7 @@ func TestFaultyScenarioMatrix(t *testing.T) {
 		dev := openFaultyDevice(t, map[string]string{
 			"stuck": "0", "voltage-schedule": "0:1,8:0",
 		})
-		ctrl := memctrl.NewController(internalDevice(dev))
+		ctrl := memctrl.NewController(dev)
 		if _, err := ctrl.WriteWord(0, 0, 0, make([]uint64, wordBits/64)); err != nil {
 			t.Fatal(err)
 		}
@@ -449,7 +480,7 @@ func TestFaultyScenarioMatrix(t *testing.T) {
 		if got := dev.Temperature(); got != base+5 {
 			t.Errorf("temperature before the step = %v, want base %v + 5", got, base)
 		}
-		ctrl := memctrl.NewController(internalDevice(dev))
+		ctrl := memctrl.NewController(dev)
 		for i := 0; i < 6; i++ {
 			readWord(ctrl)
 		}

@@ -114,7 +114,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/device"
 	"repro/internal/dram"
 	"repro/internal/health"
 	"repro/internal/memctrl"
@@ -144,7 +143,7 @@ func newDevice(manufacturer string, serial uint64, deterministic bool, geom Geom
 	dev, err := dram.NewDevice(dram.Config{
 		Serial:       serial,
 		Manufacturer: m,
-		Geometry:     geom.internal(),
+		Geometry:     geom,
 		Timing:       timing.NewLPDDR4(),
 		Noise:        noise,
 	})
@@ -156,20 +155,19 @@ func newDevice(manufacturer string, serial uint64, deterministic bool, geom Geom
 
 // resolveDevice opens the device the options select: an explicitly supplied
 // Device, a registered backend (WithBackend), or the default sim backend. It
-// returns the internal pipeline view alongside the public device (for
-// Close/Temperature) and the backend name used.
-func (o *options) resolveDevice(manufacturer string, serial uint64, deterministic bool, geom Geometry) (device.Device, Device, string, error) {
+// returns the device and the backend name used.
+func (o *options) resolveDevice(manufacturer string, serial uint64, deterministic bool, geom Geometry) (Device, string, error) {
 	if o.device != nil {
 		if o.backend != nil {
-			return nil, nil, "", fmt.Errorf("drange: WithDevice and WithBackend are mutually exclusive")
+			return nil, "", fmt.Errorf("drange: WithDevice and WithBackend are mutually exclusive")
 		}
-		return internalDevice(o.device), o.device, "custom", nil
+		return o.device, "custom", nil
 	}
 	spec := backendSpec{name: "sim"}
 	if o.backend != nil {
 		spec = *o.backend
 	}
-	pub, err := OpenBackend(spec.name, BackendParams{
+	dev, err := OpenBackend(spec.name, BackendParams{
 		Manufacturer:  manufacturer,
 		Serial:        serial,
 		Deterministic: deterministic,
@@ -177,9 +175,9 @@ func (o *options) resolveDevice(manufacturer string, serial uint64, deterministi
 		Options:       spec.params,
 	})
 	if err != nil {
-		return nil, nil, "", err
+		return nil, "", err
 	}
-	return internalDevice(pub), pub, spec.name, nil
+	return dev, spec.name, nil
 }
 
 // characterize runs RNG-cell identification and word selection over the
@@ -229,7 +227,7 @@ func characterize(ctx context.Context, ctrl *memctrl.Controller, p charParams) (
 		Version:      ProfileVersion,
 		Manufacturer: p.Manufacturer,
 		Serial:       p.Serial,
-		Geometry:     geometryFromInternal(geom),
+		Geometry:     geom,
 		Characterization: CharacterizationParams{
 			TRCDNS:           p.TRCDNS,
 			Samples:          p.Samples,
@@ -276,7 +274,7 @@ func Characterize(ctx context.Context, opts ...Option) (*Profile, error) {
 		return nil, err
 	}
 	p := o.charParams()
-	dev, pub, _, err := o.resolveDevice(p.Manufacturer, p.Serial, p.Deterministic, p.Geometry)
+	dev, _, err := o.resolveDevice(p.Manufacturer, p.Serial, p.Deterministic, p.Geometry)
 	if err != nil {
 		return nil, err
 	}
@@ -286,7 +284,7 @@ func Characterize(ctx context.Context, opts ...Option) (*Profile, error) {
 	// (flushing, for example, a replay recorder's log). A caller-supplied
 	// WithDevice device stays open for the caller's next move.
 	if o.device == nil {
-		if cerr := closeDevice(pub); err == nil && cerr != nil {
+		if cerr := closeDevice(dev); err == nil && cerr != nil {
 			err = cerr
 		}
 	}
@@ -358,14 +356,14 @@ func Open(ctx context.Context, profile *Profile, opts ...Option) (Source, error)
 	if err != nil {
 		return nil, err
 	}
-	dev, pub, backend, err := o.resolveDevice(profile.Manufacturer, profile.Serial, deterministic, profile.Geometry)
+	dev, backend, err := o.resolveDevice(profile.Manufacturer, profile.Serial, deterministic, profile.Geometry)
 	if err != nil {
 		return nil, err
 	}
 	ownsDev := o.device == nil
 	fail := func(err error) (Source, error) {
 		if ownsDev {
-			closeDevice(pub)
+			closeDevice(dev)
 		}
 		return nil, err
 	}
@@ -373,17 +371,16 @@ func Open(ctx context.Context, profile *Profile, opts ...Option) (Source, error)
 	// is whatever the caller handed us: verify it before sampling — RNG-cell
 	// locations are per-device process variation, and reading another
 	// device's cells would not be random.
-	if s := pub.Serial(); s != profile.Serial {
+	if s := dev.Serial(); s != profile.Serial {
 		return fail(fmt.Errorf("drange: device mismatch: profile was characterized on serial %d, but the device reports %d", profile.Serial, s))
 	}
-	if dg := pub.Geometry(); dg != profile.Geometry {
+	if dg := dev.Geometry(); dg != profile.Geometry {
 		return fail(fmt.Errorf("drange: device mismatch: profile geometry %+v differs from the device's %+v", profile.Geometry, dg))
 	}
 
 	g := &Generator{
 		profile: profile,
 		dev:     dev,
-		pubDev:  pub,
 		ownsDev: ownsDev,
 		backend: backend,
 		pat:     pat,
@@ -398,7 +395,6 @@ func Open(ctx context.Context, profile *Profile, opts ...Option) (Source, error)
 		idx:     -1,
 		profile: profile,
 		backend: backend,
-		pub:     pub,
 		dev:     dev,
 		trcdNS:  trcd,
 		ownsDev: ownsDev,
@@ -490,11 +486,10 @@ type Generator struct {
 	servingCore
 
 	profile *Profile
-	dev     device.Device
-	// pubDev is the public backend view of dev; ownsDev records whether the
-	// generator opened it (and must close it) or the caller supplied it via
-	// WithDevice. backend is the backend name the device came from.
-	pubDev  Device
+	// dev is the sampled device; ownsDev records whether the generator opened
+	// it (and must close it) or the caller supplied it via WithDevice.
+	// backend is the backend name the device came from.
+	dev     Device
 	ownsDev bool
 	backend string
 	pat     pattern.Pattern
@@ -516,8 +511,8 @@ func (g *Generator) Profile() *Profile { return g.profile }
 // WithDevice device).
 func (g *Generator) Backend() string { return g.backend }
 
-// Device returns the public view of the device this generator samples.
-func (g *Generator) Device() Device { return g.pubDev }
+// Device returns the device this generator samples.
+func (g *Generator) Device() Device { return g.dev }
 
 // Banks returns the number of banks sampled for generation.
 func (g *Generator) Banks() int { return len(g.sels) }
@@ -548,40 +543,44 @@ func (g *Generator) DensityHistograms() []Density { return g.profile.DensityHist
 func (g *Generator) Stats() Stats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	var st Stats
 	if g.eng != nil {
-		st := statsFromEngine(g.eng.Stats())
-		// Per-shard delivery counts bits drained from the shard rings; the
-		// aggregate reports what callers actually received (they differ
-		// only under a post-processing chain).
-		st.BitsDelivered = g.delivered.Load()
-		st.Health = g.memberHealthLocked(g.members[0])
-		g.tierStatsLocked(&st)
-		return st
+		est := g.eng.Stats()
+		st = Stats{
+			Shards:                  est.Shards,
+			BitsHarvested:           est.BitsHarvested,
+			AggregateThroughputMbps: est.AggregateThroughputMbps,
+			Latency64NS:             est.Latency64NS,
+		}
+	} else {
+		bits := g.trng.BitsGenerated()
+		cycles := g.ctrl.Now()
+		ns := g.ctrl.Params().NS(cycles)
+		ss := ShardStats{
+			Shard:            0,
+			Banks:            g.trng.Banks(),
+			BitsPerIteration: g.trng.BitsPerIteration(),
+			BitsHarvested:    bits,
+			BitsDelivered:    g.members[0].fetched.Load(),
+			SimCycles:        cycles,
+			SimNS:            ns,
+		}
+		if ns > 0 && bits > 0 {
+			ss.ThroughputMbps = float64(bits) / ns * 1000.0
+			ss.Latency64NS = ns / float64(bits) * 64.0
+		}
+		st = Stats{
+			Shards:                  []ShardStats{ss},
+			BitsHarvested:           bits,
+			AggregateThroughputMbps: ss.ThroughputMbps,
+			Latency64NS:             ss.Latency64NS,
+		}
 	}
-	bits := g.trng.BitsGenerated()
-	cycles := g.ctrl.Now()
-	ns := g.ctrl.Params().NS(cycles)
-	ss := ShardStats{
-		Shard:            0,
-		Banks:            g.trng.Banks(),
-		BitsPerIteration: g.trng.BitsPerIteration(),
-		BitsHarvested:    bits,
-		BitsDelivered:    g.members[0].fetched.Load(),
-		SimCycles:        cycles,
-		SimNS:            ns,
-	}
-	if ns > 0 && bits > 0 {
-		ss.ThroughputMbps = float64(bits) / ns * 1000.0
-		ss.Latency64NS = ns / float64(bits) * 64.0
-	}
-	st := Stats{
-		Shards:                  []ShardStats{ss},
-		BitsHarvested:           bits,
-		BitsDelivered:           g.delivered.Load(),
-		AggregateThroughputMbps: ss.ThroughputMbps,
-		Latency64NS:             ss.Latency64NS,
-		Health:                  g.memberHealthLocked(g.members[0]),
-	}
+	// Per-shard delivery counts bits drained from the sampler; the aggregate
+	// reports what callers actually received (they differ only under a
+	// post-processing chain).
+	st.BitsDelivered = g.delivered.Load()
+	st.Health = g.memberHealthLocked(g.members[0])
 	g.tierStatsLocked(&st)
 	return st
 }

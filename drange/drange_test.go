@@ -184,7 +184,7 @@ func TestOpenEndToEnd(t *testing.T) {
 func TestOpenSkipsIdentification(t *testing.T) {
 	src := openQuick(t)
 	g := src.(*Generator)
-	st := g.dev.Stats()
+	st := g.dev.OpStats()
 	if st.Reads != 0 {
 		t.Errorf("Open issued %d device reads; identification must not run on the open path", st.Reads)
 	}
@@ -194,7 +194,7 @@ func TestOpenSkipsIdentification(t *testing.T) {
 	if _, err := src.ReadBits(64); err != nil {
 		t.Fatal(err)
 	}
-	st = g.dev.Stats()
+	st = g.dev.OpStats()
 	if st.ReducedTRCDAct == 0 {
 		t.Error("generation performed no reduced-tRCD activations; sampler not wired to the device")
 	}

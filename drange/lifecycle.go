@@ -278,7 +278,6 @@ func (c *servingCore) readmit(m *servingMember, prof *Profile, start time.Time) 
 		return err
 	}
 	m.state.Store(int32(memberReadmitting))
-	tested := false
 	if c.testsEnabled && c.testsPolicy.StartupBits > 0 {
 		sample, err := eng.ReadBits(c.testsPolicy.StartupBits)
 		if err == nil {
@@ -288,7 +287,6 @@ func (c *servingCore) readmit(m *servingMember, prof *Profile, start time.Time) 
 			eng.Close()
 			return fmt.Errorf("readmission startup health test: %w", err)
 		}
-		tested = true
 	}
 
 	c.mu.Lock()
@@ -304,10 +302,12 @@ func (c *servingCore) readmit(m *servingMember, prof *Profile, start time.Time) 
 	m.biasDelta = 0
 	// The re-characterized operating point is the new health baseline: bias
 	// windows restart clean and temperature drift is measured from now.
-	m.baseTempC = m.pub.Temperature()
+	m.baseTempC = m.dev.Temperature()
 	if c.testsEnabled {
+		// A failed startup test returned above, so the test either passed
+		// or is disabled (StartupPassed is documented true for both).
 		m.resetMonitor()
-		m.startupOK = tested
+		m.startupOK = true
 	}
 	m.reason = ""
 	m.readmissions++

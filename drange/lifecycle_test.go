@@ -307,3 +307,29 @@ func TestRecharacterizationRejectedOutsidePools(t *testing.T) {
 		t.Errorf("Characterize accepted WithRecharacterization: %v", err)
 	}
 }
+
+// TestReadmitKeepsStartupPassedWithStartupTestDisabled: with the startup
+// self-test disabled (StartupBits < 0) no startup test can fail, so
+// StartupPassed stays true across a quarantine → readmission cycle, for the
+// member and for the pool aggregate.
+func TestReadmitKeepsStartupPassedWithStartupTestDisabled(t *testing.T) {
+	profiles := lifecycleProfiles(t, 3)
+	pool, err := OpenPool(context.Background(), profiles,
+		WithHealthTests(HealthTestPolicy{StartupBits: -1}),
+		WithRecharacterization(quickRecharPolicy()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	if h := pool.Stats().Devices[1].Health; h == nil || !h.StartupPassed {
+		t.Fatalf("member 1 health before quarantine = %+v, want StartupPassed", h)
+	}
+
+	forceQuarantine(t, pool, 1, "test: forced bias drift")
+	if d := waitReadmitted(t, pool, 1, 2*time.Minute); d.Health == nil || !d.Health.StartupPassed {
+		t.Errorf("member 1 health after readmission = %+v, want StartupPassed", d.Health)
+	}
+	if h := pool.Stats().Health; h == nil || !h.StartupPassed {
+		t.Errorf("pool health after readmission = %+v, want StartupPassed", h)
+	}
+}

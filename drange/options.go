@@ -20,9 +20,9 @@ type options struct {
 
 	trcdNS *float64
 
-	rowsPerBank *int
-	wordsPerRow *int
-	banks       *int
+	regionRows  *int
+	regionWords *int
+	regionBanks *int
 
 	samples          *int
 	tolerance        *float64
@@ -88,16 +88,16 @@ func WithTRCD(ns float64) Option {
 	return func(o *options) { o.trcdNS = &ns }
 }
 
-// WithProfilingRegion bounds the region characterized in each bank:
-// rowsPerBank rows and wordsPerRow DRAM words per row, over the first banks
-// banks (banks <= 0 profiles every bank). Defaults: 128 rows, 8 words, all
-// banks. Larger regions find more RNG cells (higher throughput) at the cost
-// of a longer characterization.
-func WithProfilingRegion(rowsPerBank, wordsPerRow, banks int) Option {
+// WithProfilingRegion bounds the region characterized in each bank: the
+// first rows rows and the first words DRAM words of each row, over the first
+// banks banks (banks <= 0 profiles every bank). Defaults: 128 rows, 8 words,
+// all banks. Larger regions find more RNG cells (higher throughput) at the
+// cost of a longer characterization.
+func WithProfilingRegion(rows, words, banks int) Option {
 	return func(o *options) {
-		o.rowsPerBank = &rowsPerBank
-		o.wordsPerRow = &wordsPerRow
-		o.banks = &banks
+		o.regionRows = &rows
+		o.regionWords = &words
+		o.regionBanks = &banks
 	}
 }
 
@@ -280,14 +280,14 @@ func (o *options) charParams() charParams {
 	if o.trcdNS != nil {
 		p.TRCDNS = *o.trcdNS
 	}
-	if o.rowsPerBank != nil {
-		p.RowsPerBank = *o.rowsPerBank
+	if o.regionRows != nil {
+		p.RowsPerBank = *o.regionRows
 	}
-	if o.wordsPerRow != nil {
-		p.WordsPerRow = *o.wordsPerRow
+	if o.regionWords != nil {
+		p.WordsPerRow = *o.regionWords
 	}
-	if o.banks != nil {
-		p.Banks = *o.banks
+	if o.regionBanks != nil {
+		p.Banks = *o.regionBanks
 	}
 	if o.samples != nil {
 		p.Samples = *o.samples
@@ -310,7 +310,7 @@ func (o *options) rejectCharacterizationOnly() error {
 	switch {
 	case o.samples != nil, o.tolerance != nil, o.maxBiasDelta != nil,
 		o.screenIterations != nil, o.paper,
-		o.rowsPerBank != nil, o.wordsPerRow != nil, o.banks != nil:
+		o.regionRows != nil, o.regionWords != nil, o.regionBanks != nil:
 		return fmt.Errorf("drange: identification options (samples, tolerance, bias bound, screening, profiling region, paper preset) apply to Characterize, not Open — the profile already fixes them")
 	}
 	return nil

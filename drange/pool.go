@@ -189,7 +189,7 @@ func OpenPool(ctx context.Context, profiles []*Profile, opts ...Option) (*Pool, 
 		if o.trcdNS != nil {
 			trcd = *o.trcdNS
 		}
-		dev, pub, backend, err := memberOpts.resolveDevice(profile.Manufacturer, profile.Serial, deterministic, profile.Geometry)
+		dev, backend, err := memberOpts.resolveDevice(profile.Manufacturer, profile.Serial, deterministic, profile.Geometry)
 		if err != nil {
 			return fail(fmt.Errorf("drange: pool device %d: %w", i, err))
 		}
@@ -197,21 +197,20 @@ func OpenPool(ctx context.Context, profiles []*Profile, opts ...Option) (*Pool, 
 			idx:       i,
 			profile:   profile,
 			backend:   backend,
-			pub:       pub,
 			dev:       dev,
 			shards:    shardsPerDevice,
 			trcdNS:    trcd,
 			ownsDev:   true,
-			baseTempC: pub.Temperature(),
+			baseTempC: dev.Temperature(),
 		}
 		p.members = append(p.members, m)
 		// Same verification Open performs: a backend that ignores the
 		// requested identity must not pool a device mismatching its profile
 		// (harvesting another device's cell coordinates is not random).
-		if s := pub.Serial(); s != profile.Serial {
+		if s := dev.Serial(); s != profile.Serial {
 			return fail(fmt.Errorf("drange: pool device %d mismatch: profile was characterized on serial %d, but the device reports %d", i, profile.Serial, s))
 		}
-		if dg := pub.Geometry(); dg != profile.Geometry {
+		if dg := dev.Geometry(); dg != profile.Geometry {
 			return fail(fmt.Errorf("drange: pool device %d mismatch: profile geometry %+v differs from the device's %+v", i, profile.Geometry, dg))
 		}
 		eng, err := core.NewEngine(pctx, dev, sels, core.EngineConfig{
@@ -282,7 +281,7 @@ func (p *Pool) Stats() Stats {
 	bitsPerNS := 0.0
 	shardIdx := 0
 	for _, m := range p.members {
-		est := statsFromEngine(m.eng.Stats())
+		est := m.eng.Stats()
 		state := m.lifecycle()
 		ds := PoolDeviceStats{
 			Device:              m.idx,
@@ -377,7 +376,7 @@ func (m *servingMember) lastTemperature() float64 {
 	if m.lifecycle() == memberEvicted {
 		return m.baseTempC
 	}
-	return m.pub.Temperature()
+	return m.dev.Temperature()
 }
 
 var _ Source = (*Pool)(nil)

@@ -194,7 +194,7 @@ func (d *ProfileDelta) validateAgainst(p *Profile, seq int, base string) error {
 	if len(d.Banks) == 0 {
 		return fmt.Errorf("drange: profile delta %d names no banks", seq)
 	}
-	geom := p.Geometry.internal()
+	geom := p.Geometry
 	affected := make(map[int]bool, len(d.Banks))
 	for i, b := range d.Banks {
 		if b < 0 || b >= geom.Banks {
@@ -341,7 +341,7 @@ func (p *Profile) Validate() error {
 	if _, err := dram.ProfileFor(dram.Manufacturer(p.Manufacturer)); err != nil {
 		return fmt.Errorf("drange: %w", err)
 	}
-	geom := p.Geometry.internal()
+	geom := p.Geometry
 	if err := geom.Validate(); err != nil {
 		return fmt.Errorf("drange: profile geometry: %w", err)
 	}

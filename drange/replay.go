@@ -344,6 +344,11 @@ func openReplayDevice(path string, p BackendParams) (*replayDevice, error) {
 	if hdr.Format != replayFormat {
 		return nil, fmt.Errorf("replay log %s: format %d, this build reads %d", path, hdr.Format, replayFormat)
 	}
+	// The header is file input: reject a geometry the replayed operations
+	// would divide by or index with before serving any of them.
+	if err := hdr.Geometry.Validate(); err != nil {
+		return nil, fmt.Errorf("replay log %s: header geometry: %w", path, err)
+	}
 	// The requested identity must match the recorded run, for the same reason
 	// Open rejects profile/device mismatches.
 	if p.Serial != hdr.Serial {
@@ -479,7 +484,7 @@ func (d *replayDevice) WriteRow(bank, row int, data []uint64) error {
 	defer d.mu.Unlock()
 	_, err := d.nextLocked(opWriteRow, replayOp{Op: opWriteRow, Bank: bank, Row: row, Data: data})
 	if err == nil {
-		d.stats.Writes += int64(d.hdr.Geometry.wordsPerRow())
+		d.stats.Writes += int64(d.hdr.Geometry.WordsPerRow())
 	}
 	return err
 }

@@ -19,7 +19,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/device"
 	"repro/internal/health"
 )
 
@@ -79,7 +78,6 @@ type servingMember struct {
 	idx     int
 	profile *Profile
 	backend string
-	pub     Device
 	// src is the serving sampler; eng is the same object when the member is
 	// engine-backed (every pool member; a sharded Generator) and nil for the
 	// sequential single-controller sampler.
@@ -87,10 +85,10 @@ type servingMember struct {
 	eng     *core.Engine
 	ownsDev bool
 
-	// dev is the internal device handle the background recharacterizer
+	// dev is the member's device, which the background recharacterizer
 	// profiles and rebuilds engines over; shards and trcdNS are the
 	// engine-rebuild parameters fixed at open time.
-	dev    device.Device
+	dev    Device
 	shards int
 	trcdNS float64
 
@@ -379,7 +377,7 @@ func (c *servingCore) evictLocked(m *servingMember, reason string) {
 	m.cur, m.curBits = 0, 0
 	m.eng.Close()
 	if m.ownsDev {
-		closeDevice(m.pub)
+		closeDevice(m.dev)
 	}
 }
 
@@ -448,7 +446,7 @@ func (c *servingCore) completeWindowLocked(m *servingMember) {
 		return
 	}
 	if c.policy.MaxTempDriftC >= 0 {
-		drift := m.pub.Temperature() - m.baseTempC
+		drift := m.dev.Temperature() - m.baseTempC
 		if drift < 0 {
 			drift = -drift
 		}
@@ -744,7 +742,7 @@ func (c *servingCore) runStartupTests() error {
 		m.reason = fmt.Sprintf("startup health test failed: %v", serr)
 		m.eng.Close()
 		if m.ownsDev {
-			closeDevice(m.pub)
+			closeDevice(m.dev)
 		}
 	}
 	if failed == len(c.members) {
@@ -1327,8 +1325,8 @@ func (c *servingCore) closeMembers() error {
 				err = cerr
 			}
 		}
-		if m.ownsDev && m.pub != nil {
-			if cerr := closeDevice(m.pub); err == nil {
+		if m.ownsDev && m.dev != nil {
+			if cerr := closeDevice(m.dev); err == nil {
 				err = cerr
 			}
 		}

@@ -9,54 +9,11 @@ import (
 	"repro/internal/profiler"
 )
 
-// Geometry describes the addressable organisation of a simulated DRAM device
-// as seen through the public API. It mirrors the internal device geometry so
-// that no internal type appears in an exported signature; the zero value
-// selects the default LPDDR4 geometry.
-type Geometry struct {
-	// Banks is the number of banks in the device.
-	Banks int `json:"banks"`
-	// RowsPerBank is the number of DRAM rows per bank.
-	RowsPerBank int `json:"rows_per_bank"`
-	// ColsPerRow is the number of cells (bits) in one DRAM row.
-	ColsPerRow int `json:"cols_per_row"`
-	// SubarrayRows is the number of rows sharing one set of local sense
-	// amplifiers.
-	SubarrayRows int `json:"subarray_rows"`
-	// WordBits is the number of bits transferred by one READ burst.
-	WordBits int `json:"word_bits"`
-}
-
-// IsZero reports whether the geometry is entirely unset.
-func (g Geometry) IsZero() bool { return g == Geometry{} }
-
-// wordsPerRow returns the number of DRAM words in one row (0 when unset).
-func (g Geometry) wordsPerRow() int {
-	if g.WordBits <= 0 {
-		return 0
-	}
-	return g.ColsPerRow / g.WordBits
-}
-
-func (g Geometry) internal() dram.Geometry {
-	return dram.Geometry{
-		Banks:        g.Banks,
-		RowsPerBank:  g.RowsPerBank,
-		ColsPerRow:   g.ColsPerRow,
-		SubarrayRows: g.SubarrayRows,
-		WordBits:     g.WordBits,
-	}
-}
-
-func geometryFromInternal(g dram.Geometry) Geometry {
-	return Geometry{
-		Banks:        g.Banks,
-		RowsPerBank:  g.RowsPerBank,
-		ColsPerRow:   g.ColsPerRow,
-		SubarrayRows: g.SubarrayRows,
-		WordBits:     g.WordBits,
-	}
-}
+// Geometry describes the addressable organisation of a DRAM device: Banks,
+// RowsPerBank, ColsPerRow (cells per row), SubarrayRows (rows sharing one set
+// of local sense amplifiers) and WordBits (bits per READ burst). The zero
+// value selects the default LPDDR4 geometry.
+type Geometry = dram.Geometry
 
 // Cell is one identified RNG cell: a DRAM cell whose reduced-latency reads
 // are statistically uniform (Section 6.1 of the paper).
@@ -186,25 +143,7 @@ type Density struct {
 // ShardStats is the throughput/latency accounting of one harvesting shard,
 // measured in simulated DRAM time. A sequential Source reports itself as a
 // single shard.
-type ShardStats struct {
-	Shard int `json:"shard"`
-	// Banks is the number of banks the shard samples.
-	Banks int `json:"banks"`
-	// BitsPerIteration is the shard's data rate per core-loop pass.
-	BitsPerIteration int `json:"bits_per_iteration"`
-	// BitsHarvested counts bits extracted from the DRAM (buffered included).
-	BitsHarvested int64 `json:"bits_harvested"`
-	// BitsDelivered counts bits consumers drained from this shard, before
-	// any post-processing chain.
-	BitsDelivered int64 `json:"bits_delivered"`
-	// SimCycles and SimNS are the shard controller's simulated time spent.
-	SimCycles int64   `json:"sim_cycles"`
-	SimNS     float64 `json:"sim_ns"`
-	// ThroughputMbps is the shard's harvest rate in simulated time.
-	ThroughputMbps float64 `json:"throughput_mbps"`
-	// Latency64NS is the shard's simulated time to produce 64 bits.
-	Latency64NS float64 `json:"latency_64_ns"`
-}
+type ShardStats = core.ShardStats
 
 // Stats is the per-shard and aggregate accounting of a Source. For a sharded
 // Source the aggregate throughput is the sum of the shard rates, mirroring
@@ -353,30 +292,6 @@ type PoolDeviceStats struct {
 	// DRBG is this device's DRBG instance and entropy credit accounting
 	// (nil unless WithDRBG is attached to the pool).
 	DRBG *DRBGStats `json:"drbg,omitempty"`
-}
-
-func statsFromEngine(st core.EngineStats) Stats {
-	out := Stats{
-		Shards:                  make([]ShardStats, len(st.Shards)),
-		BitsHarvested:           st.BitsHarvested,
-		BitsDelivered:           st.BitsDelivered,
-		AggregateThroughputMbps: st.AggregateThroughputMbps,
-		Latency64NS:             st.Latency64NS,
-	}
-	for i, s := range st.Shards {
-		out.Shards[i] = ShardStats{
-			Shard:            s.Shard,
-			Banks:            s.Banks,
-			BitsPerIteration: s.BitsPerIteration,
-			BitsHarvested:    s.BitsHarvested,
-			BitsDelivered:    s.BitsDelivered,
-			SimCycles:        s.SimCycles,
-			SimNS:            s.SimNS,
-			ThroughputMbps:   s.ThroughputMbps,
-			Latency64NS:      s.Latency64NS,
-		}
-	}
-	return out
 }
 
 // Throughput is the measured timing of the Algorithm 2 core loop, the data

@@ -9,9 +9,10 @@
 //     Activate as provided by repro/internal/device and repro/internal/dram —
 //     may only be referenced from the packages that implement or drive the
 //     device (internal/memctrl, internal/profiler, internal/dram,
-//     internal/device) and from the drange backend adapter files
-//     (backend.go, replay.go, faulty.go), which wrap devices rather than
-//     harvest from them. Setup-time geometry reads (ReadRowRaw, StartupRow)
+//     internal/device) and from the drange backend files that wrap devices
+//     rather than harvest from them (replay.go, faulty.go). drange.Device is
+//     an alias of the internal contract, so a read through it anywhere else
+//     in package drange is flagged like any other. Setup-time geometry reads (ReadRowRaw, StartupRow)
 //     are deliberately not banned: they feed characterization, not the
 //     serving stream.
 //
@@ -54,8 +55,8 @@ var providerPkgs = []string{"internal/device", "internal/dram"}
 // the two layers that legitimately drive them.
 var allowedPkgs = []string{"internal/device", "internal/dram", "internal/memctrl", "internal/profiler"}
 
-// allowedDrangeFiles are the backend adapter files in package drange.
-var allowedDrangeFiles = map[string]bool{"backend.go": true, "replay.go": true, "faulty.go": true}
+// allowedDrangeFiles are the device-wrapping backend files in package drange.
+var allowedDrangeFiles = map[string]bool{"replay.go": true, "faulty.go": true}
 
 func run(pass *analysis.Pass) error {
 	pkgPath := pass.Pkg.Path()

@@ -1,11 +1,12 @@
-// Package drange stands in for the facade; backend.go is an allowlisted
-// adapter file.
 package drange
 
 import "repro/internal/device"
 
-type wrapped struct{ inner device.Device }
+// Device is the facade's name for the one device contract, as in the real
+// package.
+type Device = device.Device
 
-func (w wrapped) ReadWord(bank, wordIdx int) ([]uint64, error) {
-	return w.inner.ReadWord(bank, wordIdx) // adapter file: allowed
+// backend.go registers backends but wraps no device, so it is not exempt.
+func probe(dev Device) error {
+	return dev.Activate(0, 0, 10) // want "raw device read device.Activate"
 }

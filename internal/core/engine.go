@@ -382,23 +382,24 @@ func (e *Engine) Close() error {
 // ShardStats is the per-shard throughput/latency accounting of one
 // harvesting shard, measured in simulated DRAM time.
 type ShardStats struct {
-	Shard int
+	Shard int `json:"shard"`
 	// Banks is the number of banks the shard samples.
-	Banks int
+	Banks int `json:"banks"`
 	// BitsPerIteration is the shard's data rate per core-loop pass.
-	BitsPerIteration int
+	BitsPerIteration int `json:"bits_per_iteration"`
 	// BitsHarvested counts bits the shard extracted from its banks
 	// (buffered bits included).
-	BitsHarvested int64
-	// BitsDelivered counts bits consumers actually read from this shard.
-	BitsDelivered int64
+	BitsHarvested int64 `json:"bits_harvested"`
+	// BitsDelivered counts bits consumers actually read from this shard,
+	// before any post-processing chain.
+	BitsDelivered int64 `json:"bits_delivered"`
 	// SimCycles and SimNS are the shard controller's simulated time spent.
-	SimCycles int64
-	SimNS     float64
+	SimCycles int64   `json:"sim_cycles"`
+	SimNS     float64 `json:"sim_ns"`
 	// ThroughputMbps is the shard's harvest rate in simulated time.
-	ThroughputMbps float64
+	ThroughputMbps float64 `json:"throughput_mbps"`
 	// Latency64NS is the shard's simulated time to produce 64 bits.
-	Latency64NS float64
+	Latency64NS float64 `json:"latency_64_ns"`
 }
 
 // EngineStats aggregates the engine's accounting. Shards run concurrently in

@@ -7,8 +7,9 @@
 // record/replay, fault injection, and eventually real-hardware shims) can be
 // swapped in without touching the pipeline.
 //
-// The public facade (package drange) mirrors this contract with public types
-// as drange.Device and adapts registered backends onto it.
+// It is the only device contract in the module: the public facade exports it
+// unchanged as the type alias drange.Device, so registered backends implement
+// this interface directly.
 package device
 
 import (
@@ -16,10 +17,11 @@ import (
 	"repro/internal/timing"
 )
 
-// Device is the minimal DRAM-device contract the pipeline needs: geometry and
-// timing discovery, row activation at a caller-chosen (possibly reduced) tRCD
-// with precharge/refresh, DRAM-word column accesses, the whole-row profiling
-// conveniences, temperature, and operation statistics.
+// Device is the minimal DRAM-device contract the pipeline needs: geometry
+// discovery, row activation at a caller-chosen (possibly reduced) tRCD with
+// precharge/refresh, DRAM-word column accesses, the whole-row profiling
+// conveniences, temperature, and operation statistics. Timing discovery is
+// the optional Timed capability.
 //
 // Implementations must be safe for concurrent use by multiple goroutines: the
 // paper exploits bank-level parallelism, and the sharded engine drives
@@ -31,9 +33,6 @@ type Device interface {
 	Serial() uint64
 	// Geometry describes the addressable organisation of the device.
 	Geometry() dram.Geometry
-	// Timing returns the device's JEDEC timing parameter set; controllers
-	// schedule commands and convert cycles to wall time with it.
-	Timing() timing.Params
 
 	// Activate opens row in bank with the given activation latency in
 	// nanoseconds. Activating below the cell-dependent critical latency arms
@@ -67,12 +66,31 @@ type Device interface {
 	SetTemperature(c float64) error
 	Temperature() float64
 
-	// Stats returns a snapshot of the device's operation counters.
-	Stats() dram.DeviceStats
+	// OpStats returns a snapshot of the device's operation counters.
+	OpStats() dram.DeviceStats
 }
 
 // The simulated device is the reference implementation of the contract.
 var _ Device = (*dram.Device)(nil)
+
+// Timed is an optional device capability: the device's JEDEC timing
+// parameter set, which controllers schedule commands and convert cycles to
+// wall time with. The simulator implements it; a backend that does not is
+// scheduled as the default LPDDR4 part (see TimingOf).
+type Timed interface {
+	Timing() timing.Params
+}
+
+var _ Timed = (*dram.Device)(nil)
+
+// TimingOf returns d's timing parameters when d implements Timed, and the
+// default LPDDR4 set otherwise.
+func TimingOf(d Device) timing.Params {
+	if t, ok := d.(Timed); ok {
+		return t.Timing()
+	}
+	return timing.NewLPDDR4()
+}
 
 // WordReaderInto is an optional device capability: an allocation-free
 // ReadWord variant writing into a caller-owned buffer. The memory controller

@@ -44,7 +44,7 @@ func runDeviceContract(t *testing.T, open func(t *testing.T) device.Device) {
 		if err := dev.Geometry().Validate(); err != nil {
 			t.Errorf("Geometry does not validate: %v", err)
 		}
-		if err := dev.Timing().Validate(); err != nil {
+		if err := device.TimingOf(dev).Validate(); err != nil {
 			t.Errorf("Timing does not validate: %v", err)
 		}
 		if dev.Serial() != open(t).Serial() {
@@ -54,7 +54,7 @@ func runDeviceContract(t *testing.T, open func(t *testing.T) device.Device) {
 
 	t.Run("RowCommandOrdering", func(t *testing.T) {
 		dev := open(t)
-		trcd := dev.Timing().TRCD
+		trcd := device.TimingOf(dev).TRCD
 		if err := dev.Activate(0, 3, trcd); err != nil {
 			t.Fatalf("Activate: %v", err)
 		}
@@ -88,7 +88,7 @@ func runDeviceContract(t *testing.T, open func(t *testing.T) device.Device) {
 	t.Run("ColumnAccess", func(t *testing.T) {
 		dev := open(t)
 		g := dev.Geometry()
-		trcd := dev.Timing().TRCD
+		trcd := device.TimingOf(dev).TRCD
 		// Reads and writes require an open row.
 		if _, err := dev.ReadWord(1, 0); err == nil {
 			t.Error("ReadWord without an open row accepted")
@@ -193,8 +193,8 @@ func runDeviceContract(t *testing.T, open func(t *testing.T) device.Device) {
 
 	t.Run("Accounting", func(t *testing.T) {
 		dev := open(t)
-		trcd := dev.Timing().TRCD
-		before := dev.Stats()
+		trcd := device.TimingOf(dev).TRCD
+		before := dev.OpStats()
 		if err := dev.Activate(0, 0, trcd/2); err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func runDeviceContract(t *testing.T, open func(t *testing.T) device.Device) {
 		if err := dev.Precharge(0); err != nil {
 			t.Fatal(err)
 		}
-		st := dev.Stats()
+		st := dev.OpStats()
 		if st.Activates != before.Activates+1 || st.Reads != before.Reads+1 || st.Precharges != before.Precharges+1 {
 			t.Errorf("stats %+v after one activate/read/precharge over %+v", st, before)
 		}
@@ -218,7 +218,7 @@ func runDeviceContract(t *testing.T, open func(t *testing.T) device.Device) {
 		// goroutines; the contract requires that to be safe.
 		dev := open(t)
 		g := dev.Geometry()
-		trcd := dev.Timing().TRCD
+		trcd := device.TimingOf(dev).TRCD
 		var wg sync.WaitGroup
 		errs := make(chan error, g.Banks)
 		for bank := 0; bank < g.Banks; bank++ {
@@ -263,7 +263,7 @@ func TestSimDeviceContract(t *testing.T) {
 func TestReducedLatencyInjection(t *testing.T) {
 	dev := openSim(t)
 	g := dev.Geometry()
-	full := dev.Timing().TRCD
+	full := device.TimingOf(dev).TRCD
 	row := make([]uint64, g.ColsPerRow/64) // all zeros
 	flips := 0
 	for r := 0; r < 32; r++ {
@@ -289,7 +289,7 @@ func TestReducedLatencyInjection(t *testing.T) {
 	if flips == 0 {
 		t.Error("no activation failures injected across 32 reduced-tRCD reads of an all-zero pattern")
 	}
-	if got := dev.Stats().InjectedFlips; int(got) != flips {
+	if got := dev.OpStats().InjectedFlips; int(got) != flips {
 		t.Errorf("InjectedFlips = %d, observed %d flipped cells", got, flips)
 	}
 
@@ -313,5 +313,29 @@ func TestReducedLatencyInjection(t *testing.T) {
 		if err := dev.Precharge(0); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// untimed hides the simulator's optional capabilities behind the bare
+// contract, the way a wrapping backend does.
+type untimed struct{ device.Device }
+
+// TestTimingOf: a device reports its own timing through the optional Timed
+// capability; one without it is scheduled as the default LPDDR4 part.
+func TestTimingOf(t *testing.T) {
+	ddr3, err := dram.NewDevice(dram.Config{
+		Serial:       7,
+		Manufacturer: dram.Manufacturer("A"),
+		Geometry:     dram.DefaultDDR3Geometry(),
+		Timing:       timing.NewDDR3(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := device.TimingOf(ddr3); got != timing.NewDDR3() {
+		t.Errorf("TimingOf(DDR3 simulator) = %+v, want its own DDR3 timing", got)
+	}
+	if got := device.TimingOf(untimed{ddr3}); got != timing.NewLPDDR4() {
+		t.Errorf("TimingOf(device without Timing) = %+v, want the LPDDR4 default", got)
 	}
 }

@@ -84,15 +84,16 @@ type injectInfo struct {
 
 // DeviceStats counts the operations a device has performed; useful for
 // asserting experimental methodology in tests and for energy accounting
-// cross-checks.
+// cross-checks. Backends that cannot observe a counter (for example
+// InjectedFlips on a replayed log) report it as zero.
 type DeviceStats struct {
-	Activates      int64
-	Precharges     int64
-	Reads          int64
-	Writes         int64
-	Refreshes      int64
-	InjectedFlips  int64
-	ReducedTRCDAct int64
+	Activates      int64 `json:"activates"`
+	Precharges     int64 `json:"precharges"`
+	Reads          int64 `json:"reads"`
+	Writes         int64 `json:"writes"`
+	Refreshes      int64 `json:"refreshes"`
+	InjectedFlips  int64 `json:"injected_flips"`
+	ReducedTRCDAct int64 `json:"reduced_trcd_activates"`
 }
 
 type weakKey struct {
@@ -202,8 +203,8 @@ func (d *Device) Geometry() Geometry { return d.geom }
 // Timing returns the device's JEDEC timing parameters.
 func (d *Device) Timing() timing.Params { return d.timing }
 
-// Stats returns a snapshot of the device's operation counters.
-func (d *Device) Stats() DeviceStats {
+// OpStats returns a snapshot of the device's operation counters.
+func (d *Device) OpStats() DeviceStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.stats

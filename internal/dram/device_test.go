@@ -180,8 +180,8 @@ func TestDefaultTRCDNeverFails(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if d.Stats().InjectedFlips != 0 {
-		t.Errorf("InjectedFlips = %d, want 0 at default tRCD", d.Stats().InjectedFlips)
+	if d.OpStats().InjectedFlips != 0 {
+		t.Errorf("InjectedFlips = %d, want 0 at default tRCD", d.OpStats().InjectedFlips)
 	}
 }
 
@@ -394,7 +394,7 @@ func TestDeviceStatsCount(t *testing.T) {
 	if err := d.Precharge(0); err != nil {
 		t.Fatal(err)
 	}
-	s := d.Stats()
+	s := d.OpStats()
 	if s.Activates != 1 || s.Reads != 1 || s.Writes != 1 || s.Precharges != 1 {
 		t.Errorf("stats = %+v, want 1 of each", s)
 	}

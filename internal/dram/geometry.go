@@ -10,19 +10,23 @@ import "fmt"
 // present and configurable.
 type Geometry struct {
 	// Banks is the number of banks in the device.
-	Banks int
+	Banks int `json:"banks"`
 	// RowsPerBank is the number of DRAM rows per bank.
-	RowsPerBank int
+	RowsPerBank int `json:"rows_per_bank"`
 	// ColsPerRow is the number of cells (bits) in one DRAM row.
-	ColsPerRow int
+	ColsPerRow int `json:"cols_per_row"`
 	// SubarrayRows is the number of rows that share one set of local sense
 	// amplifiers; the paper observes 512 or 1024 depending on manufacturer.
-	SubarrayRows int
+	SubarrayRows int `json:"subarray_rows"`
 	// WordBits is the number of bits transferred by one READ burst (the
 	// DRAM word); activation failures are only observable in the first
 	// word read after an activation.
-	WordBits int
+	WordBits int `json:"word_bits"`
 }
+
+// IsZero reports whether the geometry is entirely unset; callers that accept
+// an optional geometry treat the zero value as "the default".
+func (g Geometry) IsZero() bool { return g == Geometry{} }
 
 // DefaultLPDDR4Geometry returns the geometry used for the simulated LPDDR4
 // population: 8 banks, 1024 rows per bank, 8192-bit (1 KiB) rows, 512-row

@@ -78,9 +78,10 @@ type Controller struct {
 }
 
 // NewController builds a controller for dev. Any device.Device works — the
-// built-in simulator, a replayed operation log, or a fault-injecting wrapper.
+// built-in simulator, a replayed operation log, or a fault-injecting wrapper;
+// one without the device.Timed capability is scheduled as the LPDDR4 part.
 func NewController(dev device.Device, opts ...Option) *Controller {
-	p := dev.Timing()
+	p := device.TimingOf(dev)
 	c := &Controller{
 		dev:     dev,
 		params:  p,

@@ -176,7 +176,7 @@ func TestControllerRefreshRowRestoresCharge(t *testing.T) {
 	if row != -1 {
 		t.Errorf("open row after RefreshRow = %d, want -1", row)
 	}
-	if c.Device().Stats().ReducedTRCDAct != 0 {
+	if c.Device().OpStats().ReducedTRCDAct != 0 {
 		t.Error("RefreshRow performed a reduced-tRCD activation")
 	}
 }
