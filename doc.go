@@ -65,13 +65,15 @@
 //
 // # Serving core
 //
-// Both Source facades sit on one serving core: a Generator is served as a
-// one-member pool. One scheduler, one lock-free fast path, one locked path,
-// one DRBG tier and one tier-accounting site implement Read, ReadBits,
-// ReadRaw and Uint64 for Generator and Pool alike, so the two facades cannot
-// drift apart — a single-member pool and a Generator over the same profile
-// produce byte-for-byte identical streams under deterministic noise
-// (regression-tested). The shared accounting is success-only: a read that
+// Both Source facades sit on one serving core: a Generator is a one-member
+// pool. One construction path (policy resolution, device opening and
+// verification, sampler start, startup tests, DRBG instantiation), one
+// scheduler, one lock-free fast path, one locked path, one DRBG tier, one
+// tier-accounting site and one Stats serve Generator and Pool alike; Open and
+// OpenPool keep only their surface's option checks, and the facades only
+// their accessors. The two cannot drift apart — a single-member pool and a
+// Generator over the same profile produce byte-for-byte identical streams
+// and matching Stats under deterministic noise (regression-tested). The shared accounting is success-only: a read that
 // fails with (0, err) never advances the tier counters or delivered totals,
 // and a multi-chunk DRBG read commits its per-member deliveries only when
 // the whole request succeeds, so per-device deliveries always sum to the

@@ -115,10 +115,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dram"
-	"repro/internal/health"
 	"repro/internal/memctrl"
 	"repro/internal/nist"
-	"repro/internal/pattern"
 	"repro/internal/power"
 	"repro/internal/profiler"
 	"repro/internal/timing"
@@ -306,170 +304,21 @@ func Characterize(ctx context.Context, opts ...Option) (*Profile, error) {
 // shard layout. The concrete type is *Generator, which additionally exposes
 // the profile and the paper's throughput/latency/energy estimators.
 //
-//drange:holds mu construction: the Generator is not published until Open returns
+// Open itself only rejects a nil profile and the pool-only options
+// (WithHealth, WithDeviceBackend, WithRecharacterization); the Generator is
+// then built by the construction path OpenPool uses, as a 1-member pool.
 func Open(ctx context.Context, profile *Profile, opts ...Option) (Source, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if profile == nil {
 		return nil, fmt.Errorf("drange: nil profile")
 	}
-	if err := profile.Validate(); err != nil {
-		return nil, err
-	}
 	o := buildOptions(opts)
-	if err := o.rejectCharacterizationOnly(); err != nil {
-		return nil, err
-	}
 	if err := o.rejectPoolOnly("Open"); err != nil {
 		return nil, err
 	}
-	// Resolve the DRBG tier first: it implies the health tests, so the
-	// monitor construction below must already see the implied policy.
-	drbgPolicy, drbgOn, err := o.resolveDRBG()
-	if err != nil {
-		return nil, err
-	}
-	if o.manufacturer != nil && *o.manufacturer != profile.Manufacturer {
-		return nil, fmt.Errorf("drange: device mismatch: profile was characterized on manufacturer %q, not %q", profile.Manufacturer, *o.manufacturer)
-	}
-	if o.serial != nil && *o.serial != profile.Serial {
-		return nil, fmt.Errorf("drange: device mismatch: profile was characterized on serial %d, not %d", profile.Serial, *o.serial)
-	}
-	if o.geometry != nil && *o.geometry != profile.Geometry {
-		return nil, fmt.Errorf("drange: device mismatch: profile geometry %+v differs from requested %+v", profile.Geometry, *o.geometry)
-	}
-
-	deterministic := profile.Characterization.Deterministic
-	if o.deterministic != nil {
-		deterministic = *o.deterministic
-	}
-	trcd := profile.Characterization.TRCDNS
-	if o.trcdNS != nil {
-		trcd = *o.trcdNS
-	}
-	pat, err := parsePattern(profile.Characterization.Pattern)
-	if err != nil {
-		return nil, err
-	}
-	sels, err := coreSelections(profile.EffectiveCells(), profile.EffectiveSelections())
-	if err != nil {
-		return nil, err
-	}
-	dev, backend, err := o.resolveDevice(profile.Manufacturer, profile.Serial, deterministic, profile.Geometry)
-	if err != nil {
-		return nil, err
-	}
-	ownsDev := o.device == nil
-	fail := func(err error) (Source, error) {
-		if ownsDev {
-			closeDevice(dev)
-		}
-		return nil, err
-	}
-	// Backends construct to the profile's identity, but a WithDevice device
-	// is whatever the caller handed us: verify it before sampling — RNG-cell
-	// locations are per-device process variation, and reading another
-	// device's cells would not be random.
-	if s := dev.Serial(); s != profile.Serial {
-		return fail(fmt.Errorf("drange: device mismatch: profile was characterized on serial %d, but the device reports %d", profile.Serial, s))
-	}
-	if dg := dev.Geometry(); dg != profile.Geometry {
-		return fail(fmt.Errorf("drange: device mismatch: profile geometry %+v differs from the device's %+v", profile.Geometry, dg))
-	}
-
-	g := &Generator{
-		profile: profile,
-		dev:     dev,
-		ownsDev: ownsDev,
-		backend: backend,
-		pat:     pat,
-		trcdNS:  trcd,
-		sels:    sels,
-	}
-	// The generator serves as a 1-member pool on the shared serving core:
-	// idx -1 is the Device value its HealthErrors report, and the pool
-	// device-health policy (bias/temperature windows) stays disabled — it is
-	// an OpenPool feature.
-	m := &servingMember{
-		idx:     -1,
-		profile: profile,
-		backend: backend,
-		dev:     dev,
-		trcdNS:  trcd,
-		ownsDev: ownsDev,
-	}
+	g := &Generator{}
 	g.single = true
-	g.members = []*servingMember{m}
-	g.policy = HealthPolicy{Disabled: true}
-	if len(o.post) > 0 {
-		chain, err := newPostChain(o.post)
-		if err != nil {
-			return fail(err)
-		}
-		g.post = chain
-	}
-	shards := 0
-	if o.shards != nil {
-		shards = *o.shards
-	}
-	if shards < 0 {
-		return fail(fmt.Errorf("drange: negative shard count %d", shards))
-	}
-	if shards == 0 {
-		ctrl := memctrl.NewController(dev)
-		trng, err := core.NewTRNG(ctrl, sels, core.TRNGConfig{TRCDNS: trcd, Pattern: pat})
-		if err != nil {
-			return fail(fmt.Errorf("drange: %w", err))
-		}
-		g.ctrl, g.trng = ctrl, trng
-		m.src = trng
-	} else {
-		eng, err := core.NewEngine(ctx, dev, sels, core.EngineConfig{
-			Shards: shards,
-			TRNG:   core.TRNGConfig{TRCDNS: trcd, Pattern: pat},
-		})
-		if err != nil {
-			return fail(fmt.Errorf("drange: %w", err))
-		}
-		g.eng = eng
-		m.src, m.eng = eng, eng
-		m.shards = shards
-		m.fastEng.Store(eng)
-		// The engine is thread-safe, so the core's lock-free fast path is
-		// available (the sequential TRNG sampler is not).
-		g.concurrent = true
-	}
-	if o.healthTests != nil && !o.healthTests.Disabled {
-		// The sampler is live from here on, so failures release it through
-		// Close (stopping harvest goroutines), not the bare device closer.
-		failStarted := func(err error) (Source, error) {
-			g.Close()
-			return nil, err
-		}
-		hp := o.healthTests.withDefaults(false)
-		if hp.OnFailure == HealthActionEvict {
-			return failStarted(fmt.Errorf("drange: health action %q applies to OpenPool, not Open (there is no pool member to evict)", hp.OnFailure))
-		}
-		mon, err := health.New(hp.config())
-		if err != nil {
-			return failStarted(fmt.Errorf("drange: %w", err))
-		}
-		g.testsEnabled, g.testsPolicy = true, hp
-		m.monitor, m.startupOK = mon, true
-		if err := g.runStartupTests(); err != nil {
-			return failStarted(err)
-		}
-		if drbgOn {
-			// Instantiate the DRBG tier from a health-screened seed: the
-			// ledger registers as the monitor's credit sink before the seed
-			// harvest, so even the first seed accrues toward the credit
-			// windows.
-			g.drbgOn, g.drbgPolicy = true, drbgPolicy
-			if err := g.instantiateDRBGs(); err != nil {
-				return failStarted(err)
-			}
-		}
+	if err := g.open(ctx, []*Profile{profile}, o); err != nil {
+		return nil, err
 	}
 	return g, nil
 }
@@ -478,112 +327,47 @@ func Open(ctx context.Context, profile *Profile, opts ...Option) (Source, error)
 // interface it exposes the profile it runs under and the evaluation
 // estimators of Section 7.3. It is safe for concurrent use.
 //
-// A Generator is served as a 1-member pool: the embedded servingCore carries
-// the single member (health monitor, DRBG state, tier accounting) and
-// implements Read, ReadBits, ReadRaw, Uint64 and Close — the same
-// implementations a Pool serves through.
+// A Generator is a 1-member pool: the embedded servingCore opens, serves and
+// reports on its single member exactly as it does for a Pool's, and the
+// methods below only read that member.
 type Generator struct {
 	servingCore
-
-	profile *Profile
-	// dev is the sampled device; ownsDev records whether the generator opened
-	// it (and must close it) or the caller supplied it via WithDevice.
-	// backend is the backend name the device came from.
-	dev     Device
-	ownsDev bool
-	backend string
-	pat     pattern.Pattern
-	trcdNS  float64
-	sels    []core.BankSelection
-
-	// Exactly one of trng (sequential) and eng (sharded) is non-nil; the
-	// serving member's sampler is the same object.
-	ctrl *memctrl.Controller
-	trng *core.TRNG
-	eng  *core.Engine
 }
 
 // Profile returns the device profile this generator runs under.
-func (g *Generator) Profile() *Profile { return g.profile }
+func (g *Generator) Profile() *Profile { return g.members[0].profile }
 
 // Backend returns the name of the device backend this generator samples
 // ("sim" unless WithBackend or WithDevice chose otherwise; "custom" for a
 // WithDevice device).
-func (g *Generator) Backend() string { return g.backend }
+func (g *Generator) Backend() string { return g.members[0].backend }
 
 // Device returns the device this generator samples.
-func (g *Generator) Device() Device { return g.dev }
+func (g *Generator) Device() Device { return g.members[0].dev }
 
 // Banks returns the number of banks sampled for generation.
-func (g *Generator) Banks() int { return len(g.sels) }
+func (g *Generator) Banks() int { return len(g.members[0].sels) }
 
 // Shards returns the number of parallel harvesting shards (0 for the
 // sequential sampler).
 func (g *Generator) Shards() int {
-	if g.eng != nil {
-		return g.eng.Shards()
+	if eng := g.members[0].eng; eng != nil {
+		return eng.Shards()
 	}
 	return 0
 }
 
 // Cells returns the RNG cells sampled for generation, with the profile's
 // delta chain resolved.
-func (g *Generator) Cells() []Cell { return g.profile.EffectiveCells() }
+func (g *Generator) Cells() []Cell { return g.Profile().EffectiveCells() }
 
 // Selections returns the per-bank DRAM-word selections used for generation,
 // with the profile's delta chain resolved.
-func (g *Generator) Selections() []Selection { return g.profile.EffectiveSelections() }
+func (g *Generator) Selections() []Selection { return g.Profile().EffectiveSelections() }
 
 // DensityHistograms returns the Figure 7 data for this device: the number of
 // DRAM words containing x RNG cells, per bank.
-func (g *Generator) DensityHistograms() []Density { return g.profile.DensityHistograms() }
-
-// Stats returns the per-shard and aggregate throughput/latency accounting in
-// simulated DRAM time. A sequential generator reports itself as one shard.
-func (g *Generator) Stats() Stats {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	var st Stats
-	if g.eng != nil {
-		est := g.eng.Stats()
-		st = Stats{
-			Shards:                  est.Shards,
-			BitsHarvested:           est.BitsHarvested,
-			AggregateThroughputMbps: est.AggregateThroughputMbps,
-			Latency64NS:             est.Latency64NS,
-		}
-	} else {
-		bits := g.trng.BitsGenerated()
-		cycles := g.ctrl.Now()
-		ns := g.ctrl.Params().NS(cycles)
-		ss := ShardStats{
-			Shard:            0,
-			Banks:            g.trng.Banks(),
-			BitsPerIteration: g.trng.BitsPerIteration(),
-			BitsHarvested:    bits,
-			BitsDelivered:    g.members[0].fetched.Load(),
-			SimCycles:        cycles,
-			SimNS:            ns,
-		}
-		if ns > 0 && bits > 0 {
-			ss.ThroughputMbps = float64(bits) / ns * 1000.0
-			ss.Latency64NS = ns / float64(bits) * 64.0
-		}
-		st = Stats{
-			Shards:                  []ShardStats{ss},
-			BitsHarvested:           bits,
-			AggregateThroughputMbps: ss.ThroughputMbps,
-			Latency64NS:             ss.Latency64NS,
-		}
-	}
-	// Per-shard delivery counts bits drained from the sampler; the aggregate
-	// reports what callers actually received (they differ only under a
-	// post-processing chain).
-	st.BitsDelivered = g.delivered.Load()
-	st.Health = g.memberHealthLocked(g.members[0])
-	g.tierStatsLocked(&st)
-	return st
-}
+func (g *Generator) DensityHistograms() []Density { return g.Profile().DensityHistograms() }
 
 // errEngineActive is returned by the estimators while harvesting shards own
 // the device.
@@ -594,37 +378,35 @@ func errEngineActive() error {
 // estimate runs fn while holding the generator lock, guarding against an
 // active engine and re-synchronising the sequential sampler's bank state
 // afterwards (the estimator's fresh controller precharges the device).
-func (g *Generator) estimate(fn func() error) error {
+func (g *Generator) estimate(fn func(m *servingMember) error) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.closed.Load() {
 		return fmt.Errorf("drange: source is closed")
 	}
-	if g.eng != nil {
+	m := g.members[0]
+	if m.eng != nil {
 		return errEngineActive()
 	}
-	err := fn()
-	if rerr := g.resyncBanks(); rerr != nil && err == nil {
+	err := fn(m)
+	if rerr := resyncBanks(m); rerr != nil && err == nil {
 		err = rerr
 	}
 	return err
 }
 
-// resyncBanks restores the "all banks precharged" state both in the device
-// and in the sequential controller's view of it, after another controller
+// resyncBanks restores the "all banks precharged" state both in m's device
+// and in its sequential controller's view of it, after another controller
 // has driven the device.
-func (g *Generator) resyncBanks() error {
-	if g.ctrl == nil {
-		return nil
-	}
-	for bank := 0; bank < g.dev.Geometry().Banks; bank++ {
+func resyncBanks(m *servingMember) error {
+	for bank := 0; bank < m.dev.Geometry().Banks; bank++ {
 		// Sync the controller's bank-state machine first (issues a PRE for
 		// rows it believes open), then close whatever the estimator's
 		// controller actually left open in the device.
-		if err := g.ctrl.PrechargeBank(bank); err != nil {
+		if err := m.ctrl.PrechargeBank(bank); err != nil {
 			return fmt.Errorf("drange: resynchronising bank %d: %w", bank, err)
 		}
-		if err := g.dev.Precharge(bank); err != nil {
+		if err := m.dev.Precharge(bank); err != nil {
 			return fmt.Errorf("drange: resynchronising bank %d: %w", bank, err)
 		}
 	}
@@ -637,12 +419,12 @@ func (g *Generator) resyncBanks() error {
 // values error rather than silently clamping.
 func (g *Generator) EstimateThroughput(banks, iterations int) (Throughput, error) {
 	var out Throughput
-	err := g.estimate(func() error {
-		if banks <= 0 || banks > len(g.sels) {
-			return fmt.Errorf("drange: %d banks requested but the profile selects %d; pass a value in [1,%d]", banks, len(g.sels), len(g.sels))
+	err := g.estimate(func(m *servingMember) error {
+		if banks <= 0 || banks > len(m.sels) {
+			return fmt.Errorf("drange: %d banks requested but the profile selects %d; pass a value in [1,%d]", banks, len(m.sels), len(m.sels))
 		}
-		ctrl := memctrl.NewController(g.dev)
-		res, err := core.ThroughputEstimate(ctrl, g.sels, g.trcdNS, banks, iterations)
+		ctrl := memctrl.NewController(m.dev)
+		res, err := core.ThroughputEstimate(ctrl, m.sels, m.trcdNS, banks, iterations)
 		if err != nil {
 			return fmt.Errorf("drange: %w", err)
 		}
@@ -663,12 +445,12 @@ func (g *Generator) EstimateThroughput(banks, iterations int) (Throughput, error
 // every bank of every channel (best case).
 func (g *Generator) EstimateLatency(banks, bits int) (float64, error) {
 	var out float64
-	err := g.estimate(func() error {
-		if banks <= 0 || banks > len(g.sels) {
-			return fmt.Errorf("drange: %d banks requested but the profile selects %d; pass a value in [1,%d]", banks, len(g.sels), len(g.sels))
+	err := g.estimate(func(m *servingMember) error {
+		if banks <= 0 || banks > len(m.sels) {
+			return fmt.Errorf("drange: %d banks requested but the profile selects %d; pass a value in [1,%d]", banks, len(m.sels), len(m.sels))
 		}
-		ctrl := memctrl.NewController(g.dev)
-		lat, err := core.LatencyEstimate(ctrl, g.sels, g.trcdNS, banks, bits)
+		ctrl := memctrl.NewController(m.dev)
+		lat, err := core.LatencyEstimate(ctrl, m.sels, m.trcdNS, banks, bits)
 		if err != nil {
 			return fmt.Errorf("drange: %w", err)
 		}
@@ -681,16 +463,16 @@ func (g *Generator) EstimateLatency(banks, bits int) (float64, error) {
 // EstimateLatency64 measures the time in nanoseconds to produce 64 random
 // bits using all selected banks (Section 7.3).
 func (g *Generator) EstimateLatency64() (float64, error) {
-	return g.EstimateLatency(len(g.sels), 64)
+	return g.EstimateLatency(g.Banks(), 64)
 }
 
 // EstimateEnergyPerBit returns the marginal energy per generated bit in
 // nanojoules, using the LPDDR4 power model (Section 7.3).
 func (g *Generator) EstimateEnergyPerBit(iterations int) (float64, error) {
 	var out float64
-	err := g.estimate(func() error {
-		ctrl := memctrl.NewController(g.dev, memctrl.WithTrace())
-		nj, err := core.EnergyEstimate(ctrl, g.sels, g.trcdNS, len(g.sels), iterations, power.NewLPDDR4Model())
+	err := g.estimate(func(m *servingMember) error {
+		ctrl := memctrl.NewController(m.dev, memctrl.WithTrace())
+		nj, err := core.EnergyEstimate(ctrl, m.sels, m.trcdNS, len(m.sels), iterations, power.NewLPDDR4Model())
 		if err != nil {
 			return fmt.Errorf("drange: %w", err)
 		}

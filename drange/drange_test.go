@@ -184,7 +184,7 @@ func TestOpenEndToEnd(t *testing.T) {
 func TestOpenSkipsIdentification(t *testing.T) {
 	src := openQuick(t)
 	g := src.(*Generator)
-	st := g.dev.OpStats()
+	st := g.Device().OpStats()
 	if st.Reads != 0 {
 		t.Errorf("Open issued %d device reads; identification must not run on the open path", st.Reads)
 	}
@@ -194,7 +194,7 @@ func TestOpenSkipsIdentification(t *testing.T) {
 	if _, err := src.ReadBits(64); err != nil {
 		t.Fatal(err)
 	}
-	st = g.dev.OpStats()
+	st = g.Device().OpStats()
 	if st.ReducedTRCDAct == 0 {
 		t.Error("generation performed no reduced-tRCD activations; sampler not wired to the device")
 	}
@@ -396,7 +396,7 @@ func TestGeneratorEstimates(t *testing.T) {
 	}
 
 	// Out-of-range bank counts error instead of silently clamping.
-	if _, err := g.EstimateThroughput(len(g.sels)+1, 20); err == nil {
+	if _, err := g.EstimateThroughput(g.Banks()+1, 20); err == nil {
 		t.Error("bank count above the selection count accepted")
 	}
 	if _, err := g.EstimateThroughput(0, 20); err == nil {

@@ -82,11 +82,14 @@ type HealthTestPolicy struct {
 	// with negligible probability, while a stuck or biased device produces
 	// p-values indistinguishable from zero.
 	StartupAlpha float64
-	// OnFailure selects the response to a trip; see HealthAction.
+	// OnFailure selects the response to a trip; see HealthAction. A value
+	// other than the four HealthAction constants is rejected, as is
+	// HealthActionEvict on Open.
 	OnFailure HealthAction
 	// MaxBlockedWindows bounds HealthActionBlock: after discarding this many dirty
 	// batches within one read, the read fails with a HealthError instead of
-	// stalling forever on a dead device. 0 selects 64.
+	// stalling forever on a dead device. 0 selects 64; negative values are
+	// rejected.
 	MaxBlockedWindows int
 	// Disabled turns the subsystem off (as if WithHealthTests was never
 	// applied); it exists so callers can thread one policy value through

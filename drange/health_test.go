@@ -293,6 +293,35 @@ func TestHealthTestsOptionValidation(t *testing.T) {
 	}
 }
 
+// TestHealthTestsRejectOutOfRangePolicy: an OnFailure outside the four
+// HealthAction constants and a negative MaxBlockedWindows fail Open and
+// OpenPool alike, instead of acting as Evict and as a budget of one.
+func TestHealthTestsRejectOutOfRangePolicy(t *testing.T) {
+	ctx := context.Background()
+	opens := map[string]func(...Option) (Source, error){
+		"Open": func(opts ...Option) (Source, error) { return Open(ctx, quickProfile(t), opts...) },
+		"OpenPool": func(opts ...Option) (Source, error) {
+			return OpenPool(ctx, []*Profile{quickProfile(t)}, opts...)
+		},
+	}
+	policies := map[string]HealthTestPolicy{
+		"action-7":         {OnFailure: HealthAction(7)},
+		"action-negative":  {OnFailure: HealthAction(-1)},
+		"blocked-negative": {OnFailure: HealthActionBlock, MaxBlockedWindows: -1},
+	}
+	for on, open := range opens {
+		for name, p := range policies {
+			src, err := open(WithHealthTests(noStartup(p)))
+			if err == nil {
+				src.Close()
+				t.Errorf("%s: %s policy %+v accepted", on, name, p)
+			} else if !strings.Contains(err.Error(), "WithHealthTests") {
+				t.Errorf("%s: %s: error %q does not name WithHealthTests", on, name, err)
+			}
+		}
+	}
+}
+
 // TestHealthTestsWithPostprocess: the monitor watches the raw stream feeding
 // the corrector chain, so BitsTested outpaces the post-processed delivery.
 func TestHealthTestsWithPostprocess(t *testing.T) {

@@ -262,29 +262,18 @@ func symbolEntropy3(p float64) float64 {
 // before the serving state, so a reader that observes the member serving
 // always loads the engine that state belongs to.
 func (c *servingCore) readmit(m *servingMember, prof *Profile, start time.Time) error {
-	pat, err := parsePattern(prof.Characterization.Pattern)
-	if err != nil {
-		return err
-	}
-	sels, err := coreSelections(prof.EffectiveCells(), prof.EffectiveSelections())
-	if err != nil {
-		return err
-	}
-	eng, err := core.NewEngine(c.pctx, m.dev, sels, core.EngineConfig{
-		Shards: m.shards,
-		TRNG:   core.TRNGConfig{TRCDNS: m.trcdNS, Pattern: pat},
-	})
+	s, err := newSampler(c.pctx, m.dev, prof, m.shards, m.trcdNS)
 	if err != nil {
 		return err
 	}
 	m.state.Store(int32(memberReadmitting))
 	if c.testsEnabled && c.testsPolicy.StartupBits > 0 {
-		sample, err := eng.ReadBits(c.testsPolicy.StartupBits)
+		sample, err := s.src.ReadBits(c.testsPolicy.StartupBits)
 		if err == nil {
 			err = runStartup(sample, c.testsPolicy, m.idx)
 		}
 		if err != nil {
-			eng.Close()
+			s.eng.Close()
 			return fmt.Errorf("readmission startup health test: %w", err)
 		}
 	}
@@ -292,11 +281,11 @@ func (c *servingCore) readmit(m *servingMember, prof *Profile, start time.Time) 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed.Load() {
-		eng.Close()
+		s.eng.Close()
 		return fmt.Errorf("pool closed during readmission")
 	}
 	m.profile = prof
-	m.src, m.eng = eng, eng
+	m.sampled = s
 	m.cur, m.curBits = 0, 0
 	m.win.Store(0)
 	m.biasDelta = 0
@@ -313,7 +302,7 @@ func (c *servingCore) readmit(m *servingMember, prof *Profile, start time.Time) 
 	m.readmissions++
 	m.lastRecharMS = float64(time.Since(start)) / float64(time.Millisecond)
 	m.recharAttempts = 0
-	m.fastEng.Store(eng)
+	m.fastEng.Store(s.eng)
 	m.state.Store(int32(memberServing))
 	// Re-arm the member's DRBG best-effort: a reseed folds fresh screened
 	// entropy from the rebuilt engine into the existing state; a member that

@@ -3,9 +3,6 @@ package drange
 import (
 	"context"
 	"fmt"
-
-	"repro/internal/core"
-	"repro/internal/health"
 )
 
 // HealthPolicy controls a pool's per-device health tracking. D-RaNGe's
@@ -21,6 +18,7 @@ type HealthPolicy struct {
 	// compared against one half. 0 selects 4096 (the binomial standard
 	// deviation of the ones-fraction at 4096 bits is ~0.008, so the default
 	// MaxBiasDelta of 0.1 sits ~13 sigma out — unreachable by healthy noise).
+	// Negative values are rejected: OpenPool fails.
 	WindowBits int
 	// MaxBiasDelta is the eviction threshold for |ones-fraction − 0.5| over
 	// a window. 0 selects 0.1; negative disables bias eviction. Unlike the
@@ -62,9 +60,9 @@ func (p HealthPolicy) withDefaults() HealthPolicy {
 // temperature drift per HealthPolicy) and evicting unhealthy devices without
 // failing readers as long as one healthy device remains.
 //
-// The embedded servingCore carries the members and implements Read,
-// ReadBits, ReadRaw, Uint64 and Close — the same implementations a Generator
-// (a 1-member core) serves through.
+// The embedded servingCore opens the members and implements Read, ReadBits,
+// ReadRaw, Uint64, Stats and Close — the same implementations a Generator (a
+// 1-member core) is built and served through.
 type Pool struct {
 	servingCore
 }
@@ -85,20 +83,15 @@ type Pool struct {
 // reports the violation instead). Stats carries a per-device breakdown in
 // Stats.Devices.
 //
-// ctx cancellation stops every member engine. Close releases all members.
-//
-//drange:holds mu construction: the pool is not published until OpenPool returns
+// OpenPool itself only checks the options peculiar to a pool (WithDevice is
+// rejected, WithDeviceBackend indices must name a profile); every member is
+// built exactly as Open builds its single one. ctx cancellation stops every
+// member engine. Close releases all members.
 func OpenPool(ctx context.Context, profiles []*Profile, opts ...Option) (*Pool, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if len(profiles) == 0 {
 		return nil, fmt.Errorf("drange: OpenPool needs at least one profile")
 	}
 	o := buildOptions(opts)
-	if err := o.rejectCharacterizationOnly(); err != nil {
-		return nil, err
-	}
 	if o.device != nil {
 		return nil, fmt.Errorf("drange: WithDevice does not apply to OpenPool (it opens one device per profile); use WithDeviceBackend or open single Sources")
 	}
@@ -107,276 +100,14 @@ func OpenPool(ctx context.Context, profiles []*Profile, opts ...Option) (*Pool, 
 			return nil, fmt.Errorf("drange: WithDeviceBackend index %d outside the %d profiles", i, len(profiles))
 		}
 	}
-	// Resolve the DRBG tier first: it implies the health tests, so the
-	// member monitor construction below must already see the implied policy.
-	drbgPolicy, drbgOn, err := o.resolveDRBG()
-	if err != nil {
-		return nil, err
-	}
-	shardsPerDevice := 1
-	if o.shards != nil {
-		if *o.shards < 0 {
-			return nil, fmt.Errorf("drange: negative shard count %d", *o.shards)
-		}
-		if *o.shards > 0 {
-			shardsPerDevice = *o.shards
-		}
-	}
-	policy := HealthPolicy{}
-	if o.health != nil {
-		policy = *o.health
-	}
-	policy = policy.withDefaults()
-
-	pctx, cancel := context.WithCancel(ctx)
 	p := &Pool{}
-	p.policy = policy
-	p.cancel = cancel
-	// Pool members are always engine-backed, so the core's lock-free fast
-	// path is available.
-	p.concurrent = true
-	if o.healthTests != nil && !o.healthTests.Disabled {
-		p.testsEnabled = true
-		p.testsPolicy = o.healthTests.withDefaults(true)
-	}
-	if len(o.post) > 0 {
-		chain, err := newPostChain(o.post)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		p.post = chain
-	}
-	fail := func(err error) (*Pool, error) {
-		p.closeMembers()
-		cancel()
+	if err := p.open(ctx, profiles, o); err != nil {
 		return nil, err
-	}
-	for i, profile := range profiles {
-		if profile == nil {
-			return fail(fmt.Errorf("drange: nil profile at index %d", i))
-		}
-		if err := profile.Validate(); err != nil {
-			return fail(fmt.Errorf("drange: profile %d: %w", i, err))
-		}
-		// Identity options pin every member, with Open's mismatch semantics.
-		if o.manufacturer != nil && *o.manufacturer != profile.Manufacturer {
-			return fail(fmt.Errorf("drange: device mismatch: profile %d was characterized on manufacturer %q, not %q", i, profile.Manufacturer, *o.manufacturer))
-		}
-		if o.serial != nil && *o.serial != profile.Serial {
-			return fail(fmt.Errorf("drange: device mismatch: profile %d was characterized on serial %d, not %d", i, profile.Serial, *o.serial))
-		}
-		if o.geometry != nil && *o.geometry != profile.Geometry {
-			return fail(fmt.Errorf("drange: device mismatch: profile %d geometry %+v differs from requested %+v", i, profile.Geometry, *o.geometry))
-		}
-		memberOpts := *o
-		if spec, ok := o.deviceBackends[i]; ok {
-			memberOpts.backend = &spec
-		}
-		pat, err := parsePattern(profile.Characterization.Pattern)
-		if err != nil {
-			return fail(fmt.Errorf("drange: profile %d: %w", i, err))
-		}
-		sels, err := coreSelections(profile.EffectiveCells(), profile.EffectiveSelections())
-		if err != nil {
-			return fail(fmt.Errorf("drange: profile %d: %w", i, err))
-		}
-		deterministic := profile.Characterization.Deterministic
-		if o.deterministic != nil {
-			deterministic = *o.deterministic
-		}
-		trcd := profile.Characterization.TRCDNS
-		if o.trcdNS != nil {
-			trcd = *o.trcdNS
-		}
-		dev, backend, err := memberOpts.resolveDevice(profile.Manufacturer, profile.Serial, deterministic, profile.Geometry)
-		if err != nil {
-			return fail(fmt.Errorf("drange: pool device %d: %w", i, err))
-		}
-		m := &servingMember{
-			idx:       i,
-			profile:   profile,
-			backend:   backend,
-			dev:       dev,
-			shards:    shardsPerDevice,
-			trcdNS:    trcd,
-			ownsDev:   true,
-			baseTempC: dev.Temperature(),
-		}
-		p.members = append(p.members, m)
-		// Same verification Open performs: a backend that ignores the
-		// requested identity must not pool a device mismatching its profile
-		// (harvesting another device's cell coordinates is not random).
-		if s := dev.Serial(); s != profile.Serial {
-			return fail(fmt.Errorf("drange: pool device %d mismatch: profile was characterized on serial %d, but the device reports %d", i, profile.Serial, s))
-		}
-		if dg := dev.Geometry(); dg != profile.Geometry {
-			return fail(fmt.Errorf("drange: pool device %d mismatch: profile geometry %+v differs from the device's %+v", i, profile.Geometry, dg))
-		}
-		eng, err := core.NewEngine(pctx, dev, sels, core.EngineConfig{
-			Shards: shardsPerDevice,
-			TRNG:   core.TRNGConfig{TRCDNS: trcd, Pattern: pat},
-		})
-		if err != nil {
-			return fail(fmt.Errorf("drange: pool device %d: %w", i, err))
-		}
-		m.src, m.eng = eng, eng
-		m.fastEng.Store(eng)
-		if p.testsEnabled {
-			mon, err := health.New(p.testsPolicy.config())
-			if err != nil {
-				return fail(fmt.Errorf("drange: %w", err))
-			}
-			m.monitor, m.startupOK = mon, true
-		}
-	}
-	if err := p.runStartupTests(); err != nil {
-		return fail(err)
-	}
-	if drbgOn {
-		p.drbgOn, p.drbgPolicy = true, drbgPolicy
-		if err := p.instantiateDRBGs(); err != nil {
-			return fail(err)
-		}
-	}
-	// The recharacterizer starts last, once the member set is final: members
-	// retired before this point (startup failures are terminal anyway) were
-	// never quarantined, so the channel starts empty.
-	if o.rechar != nil && !o.rechar.Disabled {
-		p.pctx = pctx
-		p.recharOn = true
-		p.recharPolicy = o.rechar.withDefaults()
-		p.recharCh = make(chan *servingMember, len(p.members))
-		p.recharWG.Add(1)
-		go p.recharacterizer(pctx)
 	}
 	return p, nil
 }
 
 // Devices returns the number of devices the pool opened (evicted included).
 func (p *Pool) Devices() int { return len(p.members) }
-
-// Stats returns the pool's aggregate accounting plus the per-device
-// breakdown in Stats.Devices. Shard entries across all devices are
-// flattened into Stats.Shards with globally renumbered shard indices;
-// evicted devices keep reporting the totals they reached before eviction.
-func (p *Pool) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := Stats{BitsDelivered: p.delivered.Load()}
-	if p.testsEnabled {
-		out.Health = &HealthStats{SymbolBits: p.testsPolicy.SymbolBits, StartupPassed: true}
-	}
-	out.TierRaw = TierStats{Reads: p.tierRawReads.Load(), Bytes: p.tierRawBytes.Load()}
-	out.TierDRBG = TierStats{Reads: p.tierDRBGReads.Load(), Bytes: p.tierDRBGBytes.Load()}
-	if p.drbgOn {
-		out.DRBG = &DRBGStats{
-			Algorithm:            string(p.drbgPolicy.Algorithm),
-			PredictionResistance: p.drbgPolicy.PredictionResistance,
-		}
-	}
-	if p.recharOn {
-		out.Lifecycle = &LifecycleStats{}
-	}
-	bitsPerNS := 0.0
-	shardIdx := 0
-	for _, m := range p.members {
-		est := m.eng.Stats()
-		state := m.lifecycle()
-		ds := PoolDeviceStats{
-			Device:              m.idx,
-			Serial:              m.profile.Serial,
-			Backend:             m.backend,
-			Healthy:             state == memberServing,
-			Evicted:             state == memberEvicted,
-			State:               state.String(),
-			Reason:              m.reason,
-			BiasDelta:           m.biasDelta,
-			TemperatureC:        m.lastTemperature(),
-			Readmissions:        m.readmissions,
-			Recharacterizations: m.recharacterizations,
-			RecharFailures:      m.recharFailures,
-			LastRecharMS:        m.lastRecharMS,
-			ProfileDeltas:       len(m.profile.Deltas),
-			BitsHarvested:       est.BitsHarvested,
-			BitsDelivered:       m.delivered.Load(),
-			ThroughputMbps:      est.AggregateThroughputMbps,
-			Latency64NS:         est.Latency64NS,
-			Shards:              est.Shards,
-		}
-		if lc := out.Lifecycle; lc != nil {
-			switch state {
-			case memberServing:
-				lc.Serving++
-			case memberQuarantined:
-				lc.Quarantined++
-			case memberRecharacterizing:
-				lc.Recharacterizing++
-			case memberReadmitting:
-				lc.Readmitting++
-			case memberEvicted:
-				lc.Evicted++
-			}
-			lc.Readmissions += m.readmissions
-			lc.Recharacterizations += m.recharacterizations
-			lc.RecharFailures += m.recharFailures
-		}
-		if ds.Health = p.memberHealthLocked(m); ds.Health != nil {
-			agg := out.Health
-			agg.BitsTested += ds.Health.BitsTested
-			agg.SymbolsTested += ds.Health.SymbolsTested
-			agg.RCTTrips += ds.Health.RCTTrips
-			agg.APTTrips += ds.Health.APTTrips
-			agg.BiasTrips += ds.Health.BiasTrips
-			agg.TotalTrips += ds.Health.TotalTrips
-			agg.BlockedWindows += ds.Health.BlockedWindows
-			if ds.Health.LongestRun > agg.LongestRun {
-				agg.LongestRun = ds.Health.LongestRun
-			}
-			if !ds.Health.StartupPassed {
-				agg.StartupPassed = false
-			}
-			if ds.Health.LastViolation != "" {
-				agg.LastViolation = ds.Health.LastViolation
-			}
-		}
-		if m.drbg != nil {
-			ds.DRBG = m.drbg.stats()
-			if out.DRBG != nil {
-				out.DRBG.Reseeds += ds.DRBG.Reseeds
-				out.DRBG.Generates += ds.DRBG.Generates
-				out.DRBG.Credit.CreditedBits += ds.DRBG.Credit.CreditedBits
-				out.DRBG.Credit.DebitedBits += ds.DRBG.Credit.DebitedBits
-				out.DRBG.Credit.BalanceBits += ds.DRBG.Credit.BalanceBits
-			}
-		}
-		out.Devices = append(out.Devices, ds)
-		out.BitsHarvested += est.BitsHarvested
-		for _, ss := range est.Shards {
-			ss.Shard = shardIdx
-			shardIdx++
-			out.Shards = append(out.Shards, ss)
-		}
-		if state == memberServing && est.AggregateThroughputMbps > 0 {
-			bitsPerNS += est.AggregateThroughputMbps / 1000.0
-		}
-	}
-	if bitsPerNS > 0 {
-		out.AggregateThroughputMbps = bitsPerNS * 1000.0
-		out.Latency64NS = 64.0 / bitsPerNS
-	}
-	return out
-}
-
-// lastTemperature reads the member's device temperature; an evicted member
-// reports its baseline (its device may already be closed). Members merely out
-// of serving for re-characterization keep their devices open, so they report
-// live temperatures.
-func (m *servingMember) lastTemperature() float64 {
-	if m.lifecycle() == memberEvicted {
-		return m.baseTempC
-	}
-	return m.dev.Temperature()
-}
 
 var _ Source = (*Pool)(nil)

@@ -320,6 +320,31 @@ func TestPoolOptionValidation(t *testing.T) {
 	}
 }
 
+// TestPoolRejectsNegativeWindowBits: a negative bias window would "fill" at
+// every fetch and judge bias over 64 bits, evicting healthy devices; it is
+// rejected, while negative bounds keep meaning "disabled".
+func TestPoolRejectsNegativeWindowBits(t *testing.T) {
+	ctx := context.Background()
+	profiles := poolProfiles(t, 3)
+	if p, err := OpenPool(ctx, profiles, WithHealth(HealthPolicy{WindowBits: -1})); err == nil {
+		p.Close()
+		t.Fatal("negative WindowBits accepted")
+	} else if !strings.Contains(err.Error(), "WindowBits") {
+		t.Errorf("error %q does not name WindowBits", err)
+	}
+	p, err := OpenPool(ctx, profiles, WithHealth(HealthPolicy{MaxBiasDelta: -1, MaxTempDriftC: -1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if _, err := p.Read(make([]byte, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	if h := p.Healthy(); h != len(profiles) {
+		t.Errorf("%d of %d devices healthy with bias and temperature eviction disabled", h, len(profiles))
+	}
+}
+
 // TestPoolPostprocess runs a corrector chain over the multiplexed stream.
 func TestPoolPostprocess(t *testing.T) {
 	profiles := poolProfiles(t, 2)

@@ -1,13 +1,14 @@
 package drange
 
-// The serving core shared by Generator and Pool. A Generator is served as a
-// 1-member pool: both facades embed a servingCore, so the scheduler, the
-// lock-free fast path, the locked path, the DRBG tier, the health/postprocess
-// attachment points and the tier accounting each exist exactly once. The
-// single flag selects the few surface differences a 1-member core keeps —
-// error wording ("source" versus "pool"), bare error propagation instead of
-// per-device wrapping, and no device-health bias windows (HealthPolicy
-// applies to pools).
+// The serving core shared by Generator and Pool. A Generator is a 1-member
+// pool: both facades embed a servingCore, so construction (open.go), the
+// scheduler, the lock-free fast path, the locked path, the DRBG tier, the
+// health/postprocess attachment points, the tier accounting and Stats each
+// exist exactly once. The single flag selects the few surface differences a
+// 1-member core keeps — the sequential sampler by default, error wording
+// ("source" versus "pool"), bare error propagation instead of per-device
+// wrapping, no device-health bias windows (HealthPolicy applies to pools) and
+// no Stats.Devices breakdown.
 
 import (
 	"context"
@@ -67,6 +68,9 @@ type sampler interface {
 	ReadBits(n int) ([]byte, error)
 	// ReadPacked fills p with packed harvested bytes.
 	ReadPacked(p []byte) error
+	// Stats snapshots the sampler's accounting; a sequential sampler
+	// reports itself as one shard.
+	Stats() core.EngineStats
 }
 
 // servingMember is one device of a serving core: its profile, backend device,
@@ -78,11 +82,8 @@ type servingMember struct {
 	idx     int
 	profile *Profile
 	backend string
-	// src is the serving sampler; eng is the same object when the member is
-	// engine-backed (every pool member; a sharded Generator) and nil for the
-	// sequential single-controller sampler.
-	src     sampler
-	eng     *core.Engine
+	// sampled is the running sampler; a readmission swaps it whole under mu.
+	sampled
 	ownsDev bool
 
 	// dev is the member's device, which the background recharacterizer
@@ -256,10 +257,9 @@ func (m *servingMember) takeLocked(k int) uint64 {
 	return v
 }
 
-// servingCore is the shared serving machinery behind Generator and Pool. The
-// facades embed it, so Read, ReadBits, ReadRaw, Uint64 and Close are the
-// core's (single implementations); Stats stays facade-side because the two
-// surfaces report different breakdowns over the same counters.
+// servingCore is the shared machinery behind Generator and Pool. The facades
+// embed it, so Read, ReadBits, ReadRaw, Uint64, Stats and Close are the
+// core's single implementations.
 type servingCore struct {
 	mu sync.Mutex
 	// single marks a Generator core (one member, idx -1): closed-source
@@ -275,8 +275,7 @@ type servingCore struct {
 	testsEnabled bool
 	testsPolicy  HealthTestPolicy
 	post         *postChain
-	// cancel stops the member engines of a pool (nil for a Generator, whose
-	// engine is stopped directly by Close).
+	// cancel stops the member engines.
 	cancel context.CancelFunc
 	// concurrent gates the lock-free fast path: every member must be
 	// engine-backed (the sequential TRNG sampler is single-threaded).
@@ -303,8 +302,7 @@ type servingCore struct {
 
 	// pctx is the context the member engines run under; the background
 	// recharacterizer builds readmitted engines on it so Close stops them
-	// with everything else. nil for a Generator, which never
-	// recharacterizes.
+	// with everything else. nil unless WithRecharacterization is attached.
 	pctx context.Context
 	// recharOn/recharPolicy carry the resolved WithRecharacterization
 	// policy. recharCh feeds quarantined members to the recharacterizer
@@ -707,7 +705,7 @@ func (c *servingCore) updateRemainderLocked() {
 // where every device flunks its self-test must not come up at all. Any other
 // action fails the open on the first failing member.
 //
-//drange:holds mu construction: runs from Open/OpenPool before the core is published
+//drange:holds mu construction: runs from open before the core is published
 func (c *servingCore) runStartupTests() error {
 	if !c.testsEnabled || c.testsPolicy.StartupBits <= 0 {
 		return nil
@@ -761,7 +759,7 @@ func (c *servingCore) runStartupTests() error {
 // runStartupTests: the evict policy drops it (reads reroute), any other
 // policy fails the open.
 //
-//drange:holds mu construction: runs from Open/OpenPool before the core is published
+//drange:holds mu construction: runs from open before the core is published
 func (c *servingCore) instantiateDRBGs() error {
 	n := int64(c.healthyLocked())
 	if n == 0 {
@@ -1310,10 +1308,9 @@ func (c *servingCore) Close() error {
 
 // closeMembers releases every member except the terminally evicted (closed
 // at eviction time) — quarantined and recharacterizing members still hold
-// their device open for the recharacterizer. Members whose engine never
-// started — an Open/OpenPool constructor failure — still release their
-// device, so a replay recorder's log is flushed even when a later member
-// fails to open.
+// their device open for the recharacterizer. Members whose sampler never
+// started — a construction failure — still release their device, so a
+// replay recorder's log is flushed even when a later member fails to open.
 func (c *servingCore) closeMembers() error {
 	var err error
 	for _, m := range c.members {
@@ -1334,16 +1331,125 @@ func (c *servingCore) closeMembers() error {
 	return err
 }
 
-// tierStatsLocked fills the per-tier serving counters — and, for a
-// single-device core, the DRBG snapshot — into st. Callers hold mu.
-func (c *servingCore) tierStatsLocked(st *Stats) {
-	st.TierRaw = TierStats{Reads: c.tierRawReads.Load(), Bytes: c.tierRawBytes.Load()}
-	st.TierDRBG = TierStats{Reads: c.tierDRBGReads.Load(), Bytes: c.tierDRBGBytes.Load()}
-	if c.drbgOn && c.single {
-		if d := c.members[0].drbg; d != nil {
-			st.DRBG = d.stats()
+// Stats returns the core's aggregate accounting. Shard entries across all
+// members are flattened into Stats.Shards with globally renumbered shard
+// indices, and the aggregate rate sums the shards of the members still
+// serving. A pool adds the per-device breakdown in Stats.Devices; evicted
+// devices keep reporting the totals they reached before eviction.
+func (c *servingCore) Stats() Stats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := Stats{
+		BitsDelivered: c.delivered.Load(),
+		TierRaw:       TierStats{Reads: c.tierRawReads.Load(), Bytes: c.tierRawBytes.Load()},
+		TierDRBG:      TierStats{Reads: c.tierDRBGReads.Load(), Bytes: c.tierDRBGBytes.Load()},
+	}
+	if c.testsEnabled {
+		out.Health = &HealthStats{SymbolBits: c.testsPolicy.SymbolBits, StartupPassed: true}
+	}
+	if c.drbgOn {
+		out.DRBG = &DRBGStats{
+			Algorithm:            string(c.drbgPolicy.Algorithm),
+			PredictionResistance: c.drbgPolicy.PredictionResistance,
 		}
 	}
+	if c.recharOn {
+		out.Lifecycle = &LifecycleStats{}
+	}
+	bitsPerNS := 0.0
+	for _, m := range c.members {
+		est := m.src.Stats()
+		state := m.lifecycle()
+		// An evicted member's device may already be closed: it reports its
+		// baseline. Members out for re-characterization keep theirs open.
+		temp := m.baseTempC
+		if state != memberEvicted {
+			temp = m.dev.Temperature()
+		}
+		ds := PoolDeviceStats{
+			Device:              m.idx,
+			Serial:              m.profile.Serial,
+			Backend:             m.backend,
+			Healthy:             state == memberServing,
+			Evicted:             state == memberEvicted,
+			State:               state.String(),
+			Reason:              m.reason,
+			BiasDelta:           m.biasDelta,
+			TemperatureC:        temp,
+			Readmissions:        m.readmissions,
+			Recharacterizations: m.recharacterizations,
+			RecharFailures:      m.recharFailures,
+			LastRecharMS:        m.lastRecharMS,
+			ProfileDeltas:       len(m.profile.Deltas),
+			BitsHarvested:       est.BitsHarvested,
+			BitsDelivered:       m.delivered.Load(),
+			ThroughputMbps:      est.AggregateThroughputMbps,
+			Latency64NS:         est.Latency64NS,
+			Shards:              est.Shards,
+		}
+		if lc := out.Lifecycle; lc != nil {
+			switch state {
+			case memberServing:
+				lc.Serving++
+			case memberQuarantined:
+				lc.Quarantined++
+			case memberRecharacterizing:
+				lc.Recharacterizing++
+			case memberReadmitting:
+				lc.Readmitting++
+			case memberEvicted:
+				lc.Evicted++
+			}
+			lc.Readmissions += m.readmissions
+			lc.Recharacterizations += m.recharacterizations
+			lc.RecharFailures += m.recharFailures
+		}
+		if ds.Health = c.memberHealthLocked(m); ds.Health != nil {
+			agg := out.Health
+			agg.BitsTested += ds.Health.BitsTested
+			agg.SymbolsTested += ds.Health.SymbolsTested
+			agg.RCTTrips += ds.Health.RCTTrips
+			agg.APTTrips += ds.Health.APTTrips
+			agg.BiasTrips += ds.Health.BiasTrips
+			agg.TotalTrips += ds.Health.TotalTrips
+			agg.BlockedWindows += ds.Health.BlockedWindows
+			if ds.Health.LongestRun > agg.LongestRun {
+				agg.LongestRun = ds.Health.LongestRun
+			}
+			if !ds.Health.StartupPassed {
+				agg.StartupPassed = false
+			}
+			if ds.Health.LastViolation != "" {
+				agg.LastViolation = ds.Health.LastViolation
+			}
+		}
+		if m.drbg != nil {
+			ds.DRBG = m.drbg.stats()
+			if out.DRBG != nil {
+				out.DRBG.Reseeds += ds.DRBG.Reseeds
+				out.DRBG.Generates += ds.DRBG.Generates
+				out.DRBG.Credit.CreditedBits += ds.DRBG.Credit.CreditedBits
+				out.DRBG.Credit.DebitedBits += ds.DRBG.Credit.DebitedBits
+				out.DRBG.Credit.BalanceBits += ds.DRBG.Credit.BalanceBits
+			}
+		}
+		if !c.single {
+			out.Devices = append(out.Devices, ds)
+		}
+		out.BitsHarvested += est.BitsHarvested
+		for _, ss := range est.Shards {
+			ss.Shard = len(out.Shards)
+			out.Shards = append(out.Shards, ss)
+			if state == memberServing && ss.SimNS > 0 && ss.BitsHarvested > 0 {
+				bitsPerNS += float64(ss.BitsHarvested) / ss.SimNS
+			}
+		}
+	}
+	if bitsPerNS > 0 {
+		out.AggregateThroughputMbps = bitsPerNS * 1000.0
+		out.Latency64NS = 64.0 / bitsPerNS
+	}
+	return out
 }
 
 // memberHealthLocked snapshots m's health accounting (nil without

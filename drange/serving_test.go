@@ -3,6 +3,7 @@ package drange
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -86,6 +87,30 @@ func runInterleaving(t *testing.T, gen, pool Source, ops []servingOp) {
 	}
 }
 
+// requireMatchingStats asserts gen and pool report the same serving, health
+// and DRBG accounting. Devices (pool-only) and the read-ahead-dependent
+// fields — BitsHarvested, simulated time and the rates — are left out.
+func requireMatchingStats(t *testing.T, gen, pool Source) {
+	t.Helper()
+	gs, ps := gen.Stats(), pool.Stats()
+	if gs.BitsDelivered != ps.BitsDelivered {
+		t.Errorf("BitsDelivered: generator %d, pool %d", gs.BitsDelivered, ps.BitsDelivered)
+	}
+	if gs.TierRaw != ps.TierRaw || gs.TierDRBG != ps.TierDRBG {
+		t.Errorf("tiers: generator %+v/%+v, pool %+v/%+v", gs.TierRaw, gs.TierDRBG, ps.TierRaw, ps.TierDRBG)
+	}
+	if !reflect.DeepEqual(gs.Health, ps.Health) {
+		t.Errorf("Health: generator %+v, pool %+v", gs.Health, ps.Health)
+	}
+	if (gs.DRBG == nil) != (ps.DRBG == nil) {
+		t.Fatalf("DRBG: generator %+v, pool %+v", gs.DRBG, ps.DRBG)
+	}
+	if gd, pd := gs.DRBG, ps.DRBG; gd != nil &&
+		(gd.Generates != pd.Generates || gd.Reseeds != pd.Reseeds || gd.Credit != pd.Credit) {
+		t.Errorf("DRBG: generator %+v, pool %+v", *gd, *pd)
+	}
+}
+
 // TestGeneratorMatchesSinglePoolRaw pins the Generator ≡ 1-member-Pool
 // contract on the raw tier: under deterministic noise a sharded Generator and
 // a 1-member Pool over the same profile serve byte-for-byte identical streams
@@ -104,6 +129,7 @@ func TestGeneratorMatchesSinglePoolRaw(t *testing.T) {
 		opReadBits(64),
 		opRead(129),
 	})
+	requireMatchingStats(t, gen, pool)
 }
 
 // TestGeneratorMatchesSinglePoolDRBG pins the same contract on the DRBG
@@ -121,6 +147,27 @@ func TestGeneratorMatchesSinglePoolDRBG(t *testing.T) {
 		opReadRaw(24),
 		opRead(8),
 	})
+	requireMatchingStats(t, gen, pool)
+}
+
+// TestSequentialMatchesShardedDelivery pins the one-Stats accounting: a
+// sequential and a 1-shard Source count the same sampler drain — the startup
+// sample included — in Stats().Shards[].BitsDelivered.
+func TestSequentialMatchesShardedDelivery(t *testing.T) {
+	delivered := func(shards int) int64 {
+		src := openQuick(t, WithShards(shards), WithHealthTests(HealthTestPolicy{}))
+		for _, op := range []servingOp{opRead(64), opReadBits(64), opUint64, opReadRaw(32)} {
+			op.run(t, src)
+		}
+		var sum int64
+		for _, ss := range src.Stats().Shards {
+			sum += ss.BitsDelivered
+		}
+		return sum
+	}
+	if seq, sharded := delivered(0), delivered(1); seq != sharded {
+		t.Errorf("shard deliveries: sequential %d, sharded %d", seq, sharded)
+	}
 }
 
 // TestTierCountersAdvanceOnlyOnSuccess pins the fixed accounting semantics:
@@ -136,7 +183,7 @@ func TestTierCountersAdvanceOnlyOnSuccess(t *testing.T) {
 		before := g.Stats()
 		// Kill the sampler out from under the facade: a read deep enough to
 		// drain the shard rings' leftover words fails.
-		g.eng.Close()
+		g.members[0].eng.Close()
 		if _, err := g.ReadRaw(make([]byte, 1<<20)); err == nil {
 			t.Fatal("ReadRaw on a closed engine unexpectedly succeeded")
 		}
@@ -164,7 +211,7 @@ func TestTierCountersAdvanceOnlyOnSuccess(t *testing.T) {
 			// visible in the raw tier.
 			t.Errorf("TierRaw = %+v, want {Reads:2 Bytes:34}", before.TierRaw)
 		}
-		g.eng.Close()
+		g.members[0].eng.Close()
 		if _, err := g.ReadRaw(make([]byte, 1<<20)); err == nil {
 			t.Fatal("ReadRaw on a closed engine unexpectedly succeeded")
 		}

@@ -18,7 +18,8 @@ import (
 // Source is a running D-RaNGe random number source. Open returns a Source
 // whether the underlying sampler is the sequential single-controller core or
 // the concurrent sharded engine — WithShards is the only difference callers
-// see. Every Source is safe for concurrent use; Read never returns a short
+// see — and OpenPool's *Pool is one too: both are built, served and reported
+// on by one core, a Generator being a 1-member pool. Every Source is safe for concurrent use; Read never returns a short
 // read except on error, and Close releases the sampling resources (stopping
 // harvest goroutines when sharded).
 //

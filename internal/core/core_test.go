@@ -311,6 +311,17 @@ func TestTRNGReadBitsAndUint64(t *testing.T) {
 	if n, err := trng.Read(nil); n != 0 || err != nil {
 		t.Errorf("empty read = (%d, %v), want (0, nil)", n, err)
 	}
+	// The sequential generator reports itself as one shard.
+	st := trng.Stats()
+	if len(st.Shards) != 1 || st.Shards[0].Banks != trng.Banks() {
+		t.Fatalf("Stats shards = %+v, want one shard over %d banks", st.Shards, trng.Banks())
+	}
+	if st.BitsDelivered != 100+2*64 || st.Shards[0].BitsDelivered != st.BitsDelivered {
+		t.Errorf("BitsDelivered = %d (shard %d), want %d", st.BitsDelivered, st.Shards[0].BitsDelivered, 100+2*64)
+	}
+	if st.BitsHarvested != trng.BitsGenerated() || st.AggregateThroughputMbps <= 0 || st.Latency64NS <= 0 {
+		t.Errorf("Stats = %+v, want %d bits harvested at a positive rate", st, trng.BitsGenerated())
+	}
 }
 
 func TestTRNGRestoresDataPattern(t *testing.T) {

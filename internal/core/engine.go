@@ -422,29 +422,24 @@ func (e *Engine) Stats() EngineStats {
 	delivered := append([]int64(nil), e.delivered...)
 	e.mu.Unlock()
 
-	st := EngineStats{Shards: make([]ShardStats, len(e.shards))}
-	bitsPerNS := 0.0
+	shards := make([]ShardStats, len(e.shards))
 	for i, s := range e.shards {
-		bits := s.bitsHarvested.Load()
-		cycles := s.simCycles.Load()
-		ns := s.ctrl.Params().NS(cycles)
-		ss := ShardStats{
-			Shard:            i,
-			Banks:            s.trng.Banks(),
-			BitsPerIteration: s.trng.BitsPerIteration(),
-			BitsHarvested:    bits,
-			BitsDelivered:    delivered[i],
-			SimCycles:        cycles,
-			SimNS:            ns,
+		shards[i] = s.trng.shardStats(i, s.bitsHarvested.Load(), s.simCycles.Load(), delivered[i])
+	}
+	return aggregateStats(shards)
+}
+
+// aggregateStats sums per-shard accounting into EngineStats: shards run
+// concurrently in simulated time, so their rates add.
+func aggregateStats(shards []ShardStats) EngineStats {
+	st := EngineStats{Shards: shards}
+	bitsPerNS := 0.0
+	for _, ss := range shards {
+		st.BitsHarvested += ss.BitsHarvested
+		st.BitsDelivered += ss.BitsDelivered
+		if ss.SimNS > 0 && ss.BitsHarvested > 0 {
+			bitsPerNS += float64(ss.BitsHarvested) / ss.SimNS
 		}
-		if ns > 0 && bits > 0 {
-			ss.ThroughputMbps = float64(bits) / ns * 1000.0
-			ss.Latency64NS = ns / float64(bits) * 64.0
-			bitsPerNS += float64(bits) / ns
-		}
-		st.Shards[i] = ss
-		st.BitsHarvested += bits
-		st.BitsDelivered += delivered[i]
 	}
 	if bitsPerNS > 0 {
 		st.AggregateThroughputMbps = bitsPerNS * 1000.0

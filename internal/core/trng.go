@@ -50,6 +50,8 @@ type TRNG struct {
 	scratch []uint64
 
 	bitsGenerated int64
+	// bitsDelivered counts bits popped by ReadBits and ReadPacked.
+	bitsDelivered int64
 }
 
 // trngBank is the runtime state for one selected bank.
@@ -178,6 +180,32 @@ func (t *TRNG) BitsPerIteration() int {
 // BitsGenerated returns the total number of random bits harvested so far.
 func (t *TRNG) BitsGenerated() int64 { return t.bitsGenerated }
 
+// shardStats is t's accounting as shard idx, given its harvested bits, its
+// controller's simulated cycles and the bits consumers drained from it.
+func (t *TRNG) shardStats(idx int, bits, cycles, delivered int64) ShardStats {
+	ns := t.ctrl.Params().NS(cycles)
+	ss := ShardStats{
+		Shard:            idx,
+		Banks:            t.Banks(),
+		BitsPerIteration: t.BitsPerIteration(),
+		BitsHarvested:    bits,
+		BitsDelivered:    delivered,
+		SimCycles:        cycles,
+		SimNS:            ns,
+	}
+	if ns > 0 && bits > 0 {
+		ss.ThroughputMbps = float64(bits) / ns * 1000.0
+		ss.Latency64NS = ns / float64(bits) * 64.0
+	}
+	return ss
+}
+
+// Stats reports the generator's accounting as a one-shard engine would. Like
+// every TRNG method it must not run concurrently with reads.
+func (t *TRNG) Stats() EngineStats {
+	return aggregateStats([]ShardStats{t.shardStats(0, t.bitsGenerated, t.ctrl.Now(), t.bitsDelivered)})
+}
+
 // sampleWord performs one reduced-latency read of a selected word, appends
 // the RNG-cell values to the bit queue, and restores the word's original
 // content (lines 8–11 / 12–15 of Algorithm 2).
@@ -225,6 +253,7 @@ func (t *TRNG) ReadBits(n int) ([]byte, error) {
 	if err := t.harvest(n); err != nil {
 		return nil, err
 	}
+	t.bitsDelivered += int64(n)
 	return t.bits.PopBits(n), nil
 }
 
@@ -243,6 +272,7 @@ func (t *TRNG) ReadPacked(p []byte) error {
 	if err := t.harvest(len(p) * 8); err != nil {
 		return err
 	}
+	t.bitsDelivered += int64(len(p)) * 8
 	t.bits.PopPacked(p)
 	return nil
 }
