@@ -49,10 +49,6 @@ type Device struct {
 	geom    Geometry
 	timing  timing.Params
 	noise   NoiseSource
-	// bankNoise caches the BankNoiseSource capability of noise (nil when
-	// unsupported) so the per-word failure-injection path does not repeat
-	// the type assertion.
-	bankNoise BankNoiseSource
 
 	mu           sync.Mutex
 	temperatureC float64        // drange:guardedby mu
@@ -168,14 +164,12 @@ func NewDevice(cfg Config) (*Device, error) {
 		noise = NewPhysicalNoise()
 	}
 
-	bankNoise, _ := noise.(BankNoiseSource)
 	d := &Device{
 		serial:       cfg.Serial,
 		profile:      prof,
 		geom:         geom,
 		timing:       tp,
 		noise:        noise,
-		bankNoise:    bankNoise,
 		temperatureC: BaselineTemperatureC,
 		banks:        make([]*bankStorage, geom.Banks),
 		weakCols:     make(map[weakKey][][]int),
@@ -481,6 +475,8 @@ func (d *Device) ReadWord(bank, wordIdx int) ([]uint64, error) {
 // ReadWordInto is ReadWord writing into dst (which must hold wordU64s
 // uint64s): the allocation-free fast path sampling loops use through
 // device.WordReaderInto. Failure-injection semantics are identical.
+//
+//drange:noalloc
 func (d *Device) ReadWordInto(bank, wordIdx int, dst []uint64) error {
 	if err := d.checkBank(bank); err != nil {
 		return err
@@ -578,6 +574,12 @@ func (d *Device) ReadRowRaw(bank, row int) ([]uint64, error) {
 // wordIdx of row (whose stored data is data), for an activation performed
 // with latency trcdNS. Failed cells are flipped both in the returned data and
 // in the stored array (the sense amplifier restores the wrong value).
+//
+// Each vulnerable cell consumes two draws of bank's noise stream for its
+// sense outcome and, when that is the metastable coin, two more; all of a
+// word's draws are taken under one acquisition of the noise source's lock.
+//
+//drange:noalloc
 func (d *Device) injectFailuresLocked(bank, row, wordIdx int, trcdNS float64, data []uint64) {
 	info := d.injectInfoLocked(bank, row, wordIdx)
 	if len(info.cols) == 0 {
@@ -594,6 +596,8 @@ func (d *Device) injectFailuresLocked(bank, row, wordIdx int, trcdNS float64, da
 		below = d.rowDataLocked(bank, row+1)
 	}
 	temp := d.temperatureC
+	d.noise.lockDraws(bank)
+	defer d.noise.unlockDraws()
 	for i, col := range info.cols {
 		c := &info.chars[i]
 		stored := getBit(data, col)
@@ -606,30 +610,19 @@ func (d *Device) injectFailuresLocked(bank, row, wordIdx int, trcdNS float64, da
 		// noise. Below the metastable window the sense amplifier latches the
 		// wrong value; inside the window it is metastable and resolves from
 		// symmetric noise — a fair coin flip drawn from the noise source.
-		differential := margin + c.NoiseSigmaNS*d.gaussianFor(bank)
-		fail := false
-		switch {
-		case differential < -c.MetastableWindowNS:
-			fail = true
-		case differential <= c.MetastableWindowNS:
-			fail = d.gaussianFor(bank) < 0
+		h1 := d.noise.drawLocked()
+		h2 := d.noise.drawLocked()
+		outcome := senseOutcomeOf(margin, c.NoiseSigmaNS, c.MetastableWindowNS, h1, h2)
+		fail := outcome == senseFail
+		if outcome == senseCoin {
+			h3 := d.noise.drawLocked()
+			fail = coinFails(h3, d.noise.drawLocked())
 		}
 		if fail {
 			flipBit(data, col)
 			d.stats.InjectedFlips++
 		}
 	}
-}
-
-// gaussianFor returns one analog-noise sample attributed to bank. Per-bank
-// noise sources tie each draw to the bank being accessed, so a bank's
-// failure outcomes depend only on its own command order (see
-// BankNoiseSource); other sources draw from their single shared stream.
-func (d *Device) gaussianFor(bank int) float64 {
-	if d.bankNoise != nil {
-		return d.bankNoise.GaussianFor(bank)
-	}
-	return d.noise.Gaussian()
 }
 
 // differingNeighborsLocked counts the neighbouring cells (left, right, above,

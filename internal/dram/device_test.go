@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/timing"
@@ -464,5 +465,166 @@ func TestBitHelpers(t *testing.T) {
 	flipBit(data, 70)
 	if getBit(data, 70) != 0 {
 		t.Error("flipBit failed to clear")
+	}
+}
+
+// injectSite is one (bank, row, word) of a warm harvesting region together
+// with the word's stored content, which each access writes back.
+type injectSite struct {
+	bank, row, word int
+	orig            []uint64
+}
+
+// injectRegion returns a device over noise with banks×rows sites: in each
+// row, the word with the most weak columns (the most injection work).
+// Every site is accessed once, so rows and injection caches are warm.
+func injectRegion(tb testing.TB, noise NoiseSource, banks, rows int) (*Device, []injectSite) {
+	tb.Helper()
+	d, err := NewDevice(Config{Serial: 3, Manufacturer: ManufacturerA, Noise: noise})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g := d.Geometry()
+	var sites []injectSite
+	for bank := 0; bank < banks; bank++ {
+		for row := 0; row < rows; row++ {
+			best, most := 0, -1
+			for w := 0; w < g.WordsPerRow(); w++ {
+				cols, err := d.WeakColumnsInWord(bank, row, w)
+				if err != nil {
+					tb.Fatal(err)
+				}
+				if len(cols) > most {
+					best, most = w, len(cols)
+				}
+			}
+			data, err := d.ReadRowRaw(bank, row)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			nw := g.wordU64s()
+			sites = append(sites, injectSite{bank, row, best, data[best*nw : (best+1)*nw]})
+		}
+	}
+	buf := make([]uint64, g.wordU64s())
+	for i := range sites {
+		injectAccess(tb, d, &sites[i], buf)
+	}
+	return d, sites
+}
+
+// injectAccess activates the site's row at 10 ns, reads its word (injecting
+// activation failures), writes the original content back and precharges.
+func injectAccess(tb testing.TB, d *Device, s *injectSite, buf []uint64) {
+	if err := d.Activate(s.bank, s.row, 10); err != nil {
+		tb.Fatal(err)
+	}
+	if err := d.ReadWordInto(s.bank, s.word, buf); err != nil {
+		tb.Fatal(err)
+	}
+	if err := d.WriteWord(s.bank, s.word, s.orig); err != nil {
+		tb.Fatal(err)
+	}
+	if err := d.Precharge(s.bank); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+var injectNoises = []struct {
+	name   string
+	source func() NoiseSource
+}{
+	{"deterministic", func() NoiseSource { return NewDeterministicNoise(1) }},
+	{"bank", func() NoiseSource { return NewDeterministicBankNoise(1) }},
+	{"physical", func() NoiseSource { return NewPhysicalNoise() }},
+}
+
+// TestReducedTRCDReadAllocatesNothing: once its row and caches are warm, a
+// reduced-tRCD ReadWordInto — failure injection and every noise draw
+// included — allocates nothing under each noise source. 512 physical draws
+// per pass span several in-place refills of PhysicalNoise's buffer.
+func TestReducedTRCDReadAllocatesNothing(t *testing.T) {
+	for _, n := range injectNoises {
+		t.Run(n.name, func(t *testing.T) {
+			d, sites := injectRegion(t, n.source(), 2, 8)
+			buf := make([]uint64, d.Geometry().wordU64s())
+			before := d.OpStats()
+			allocs := testing.AllocsPerRun(20, func() {
+				for i := range sites {
+					injectAccess(t, d, &sites[i], buf)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%d warm reduced-tRCD reads allocate %.1f times, want 0", len(sites), allocs)
+			}
+			after := d.OpStats()
+			if after.ReducedTRCDAct == before.ReducedTRCDAct || after.InjectedFlips == before.InjectedFlips {
+				t.Errorf("no failure injection exercised: %+v -> %+v", before, after)
+			}
+		})
+	}
+}
+
+// BenchmarkInjectWord measures the device's failure-injection path alone:
+// each op activates a row at 10 ns, reads one word, writes it back and
+// precharges, cycling over a warm 8-bank × 48-row region.
+func BenchmarkInjectWord(b *testing.B) {
+	for _, n := range injectNoises {
+		b.Run(n.name, func(b *testing.B) {
+			d, sites := injectRegion(b, n.source(), 8, 48)
+			buf := make([]uint64, d.Geometry().wordU64s())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				injectAccess(b, d, &sites[i%len(sites)], buf)
+			}
+		})
+	}
+}
+
+// TestSharedNoiseConcurrentInjection drives failure injection on two devices
+// that share one noise source from several goroutines, beside direct
+// Gaussian draws on the same source: each word's draws run under the
+// source's lock while the devices' own locks are held (run with -race).
+func TestSharedNoiseConcurrentInjection(t *testing.T) {
+	for _, n := range injectNoises {
+		t.Run(n.name, func(t *testing.T) {
+			noise := n.source()
+			var wg sync.WaitGroup
+			for dev := 0; dev < 2; dev++ {
+				d, sites := injectRegion(t, noise, 2, 4)
+				for g := 0; g < 2; g++ {
+					wg.Add(1)
+					go func(bank int) {
+						defer wg.Done()
+						buf := make([]uint64, d.Geometry().wordU64s())
+						for i := 0; i < 200; i++ {
+							s := &sites[bank*4+i%4]
+							if err := d.Activate(s.bank, s.row, 10); err != nil {
+								t.Error(err)
+								return
+							}
+							if err := d.ReadWordInto(s.bank, s.word, buf); err != nil {
+								t.Error(err)
+							}
+							if err := d.WriteWord(s.bank, s.word, s.orig); err != nil {
+								t.Error(err)
+							}
+							if err := d.Precharge(s.bank); err != nil {
+								t.Error(err)
+							}
+						}
+					}(g)
+				}
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 1000; i++ {
+					_ = gaussianFor(noise, i%3)
+				}
+			}()
+			wg.Wait()
+		})
 	}
 }

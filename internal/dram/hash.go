@@ -10,6 +10,30 @@
 // character is perfectly stable over time — matching the paper's observation
 // (Section 5.4) that a cell's activation-failure probability does not change
 // significantly across 15 days of testing.
+//
+// Failure injection is an exact, cheap sampler of one fixed model. A cell
+// read after a reduced-tRCD activation has the bitline differential
+// margin + σ·g, g = √(−2·ln u₁)·cos(2π·u₂) a Box–Muller sample of two draws
+// of the noise stream (the bank's own, with a per-bank source). Below the metastable window −w it fails, above
+// +w it reads correctly, and inside ±w it fails when a second sample, of the
+// next two draws, is negative. The sampler reaches those outcomes without
+// the transcendentals for nearly every cell, and without changing a draw:
+//
+//   - Radius bound. |g| ≤ r = √(−2·ln u₁), and margin + σ·g is monotone in
+//     g after rounding, so once u₁ is above the threshold of a radius tier
+//     R_k the differential lies in [margin − σR_k, margin + σR_k]. When that
+//     interval sits wholly below −w, above +w or inside ±w, the outcome is
+//     decided; only an interval straddling an edge (or u₁ = 0) takes the
+//     exact arithmetic.
+//   - Sign-only coin. The radius is always positive, so the second sample
+//     is negative exactly when cos(2π·u₄) is: u₄ in (¼, ¾), with a few ulps
+//     around ¼ and ¾ computed exactly.
+//   - One noise lock per word. Each noise source hands the injector its raw
+//     64-bit draws under one lock acquisition per injected word.
+//
+// Every cell still consumes the same two (or four) draws in the same order,
+// so the stream, and every flip a seeded device produces, is the one the
+// plain arithmetic gives; a differential test pins the sampler against it.
 package dram
 
 // splitmix64 advances the state and returns the next value of the SplitMix64
@@ -40,7 +64,7 @@ func unitFloat(h uint64) float64 {
 	return float64(h>>11) / float64(1<<53)
 }
 
-// gaussianPair converts two uniform hashes into one standard-normal sample
+// gaussianFromHash converts two uniform hashes into one standard-normal sample
 // using the Box–Muller transform. Only the first of the pair is returned;
 // callers that need independent samples must supply independent hashes.
 func gaussianFromHash(h1, h2 uint64) float64 {
